@@ -25,7 +25,7 @@ Usage::
 
     python -m repro trace convert tc.dramsim3 tc.trace \\
         --workload tc --instructions 11    # ingest an external trace
-    python -m repro run tc.trace --setup mirza --backend vector
+    python -m repro run tc.trace --setup mirza --backend array
                                            # replay it, with the
                                            # calibration check printed
 
@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="base RNG seed (default: REPRO_SEED or 0)")
         p.add_argument(
             "--backend", default=None, metavar="NAME",
-            help="kernel backend for every simulation: event, array, "
-                 "or vector (bit-identical; vector needs numpy>=1.24; "
-                 "default: REPRO_KERNEL_BACKEND or event)")
+            help="kernel backend for every simulation: event or "
+                 "array (bit-identical; default: REPRO_KERNEL_BACKEND "
+                 "or event)")
         p.add_argument(
             "--cache-dir", default=None, metavar="DIR",
             help="persistent result-cache directory "

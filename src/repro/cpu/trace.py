@@ -12,33 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 EntryTuple = Tuple[int, int, int, int, int]
 """A trace entry as a plain tuple, in :class:`TraceEntry` field order:
 ``(compute_ps, instructions, subchannel, bank, row)``.  The hot run
 loop moves entries in this form (``TraceEntry(*tup)`` round-trips)."""
-
-ENTRY_DTYPE = _np.dtype([
-    ("compute_ps", _np.int64),
-    ("instructions", _np.int64),
-    ("subchannel", _np.int64),
-    ("bank", _np.int64),
-    ("row", _np.int64),
-]) if _np is not None else None
-"""Structured dtype mirroring :data:`EntryTuple` field-for-field.
-
-The vector kernel consumes trace chunks as flat arrays of this dtype;
-``None`` when numpy is unavailable (the array views are then absent,
-the tuple-chunk path is unaffected)."""
-
-
-def chunk_to_array(chunk: List[EntryTuple]):
-    """A chunk of entry tuples as one :data:`ENTRY_DTYPE` array."""
-    return _np.array(chunk, dtype=ENTRY_DTYPE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +51,9 @@ class ChunkSource:
         """The next non-empty chunk, or ``None`` when the trace ends."""
         return next(self._gen, None)
 
-    def next_chunk_array(self):
-        """The next chunk as an :data:`ENTRY_DTYPE` array (or ``None``).
-
-        A view change only: generation stays entry-at-a-time (the RNG
-        call sequence is the generators' contract), and the array holds
-        exactly the tuples :meth:`next_chunk` would have returned.
-        """
-        chunk = next(self._gen, None)
-        if chunk is None:
-            return None
-        return chunk_to_array(chunk)
+    # Kept only because the benchmark's per-layer tracer wraps this
+    # name; drop it with the next change to the benchmark.
+    next_chunk_array = next_chunk
 
     def __iter__(self) -> Iterator[TraceEntry]:
         """Entry-at-a-time view (compat with iterator consumers)."""

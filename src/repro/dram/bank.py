@@ -17,11 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.obs import metrics as _metrics
 from repro.params import DramGeometry
@@ -69,44 +64,6 @@ class RowActivationOracle:
                 max_row = row
         self._max_seen = max_seen
         self._max_row = max_row
-
-    def on_activates_array(self, rows) -> None:
-        """Record a run delivered as a numpy array (vector-kernel path).
-
-        Grouped arithmetic replaces the per-ACT dict walk: each
-        distinct row's count advances by its occurrence count in one
-        update, and the running max is reconstructed exactly -- a new
-        maximum is credited to the row that *reached* it first in
-        arrival order, matching entry-at-a-time counting.
-        """
-        uniq, occurrences = _np.unique(rows, return_counts=True)
-        counts = self._counts
-        get = counts.get
-        uniq_list = uniq.tolist()
-        occ_list = occurrences.tolist()
-        finals = []
-        for row, occ in zip(uniq_list, occ_list):
-            final = get(row, 0) + occ
-            counts[row] = final
-            finals.append(final)
-        peak = max(finals)
-        if peak <= self._max_seen:
-            return
-        # A row with prior count ``c`` reaches the new peak at its
-        # (peak - c)-th occurrence in the run; with several candidates
-        # the earliest such position owns the running max.
-        best_pos = -1
-        best_row = None
-        for row, final, occ in zip(uniq_list, finals, occ_list):
-            if final != peak:
-                continue
-            needed = peak - (final - occ)
-            pos = int(_np.flatnonzero(rows == row)[needed - 1])
-            if best_pos < 0 or pos < best_pos:
-                best_pos = pos
-                best_row = row
-        self._max_seen = peak
-        self._max_row = best_row
 
     def on_row_refreshed(self, row: int) -> None:
         """Demand refresh of ``row`` resets its unmitigated count."""
@@ -228,30 +185,6 @@ class Bank:
         counter = self._m_acts
         if counter is not None:
             counter.value += len(rows)
-
-    def activate_many_array(self, rows) -> None:
-        """Bulk activate over a numpy row array (vector-kernel path).
-
-        Same semantics as :meth:`activate_many` -- eager validation,
-        then arrival-order oracle counting -- with the range check and
-        the counting done by ufuncs instead of Python loops.
-        """
-        n = len(rows)
-        if not n:
-            return
-        if not 0 <= int(rows.min()) <= int(rows.max()) \
-                < self._rows_per_bank:
-            bad_mask = (rows < 0) | (rows >= self._rows_per_bank)
-            bad = int(rows[int(_np.argmax(bad_mask))])
-            raise ValueError(
-                f"row {bad} out of range for bank with "
-                f"{self.geometry.rows_per_bank} rows")
-        self.open_row = int(rows[-1])
-        self.total_activations += n
-        self.oracle.on_activates_array(rows)
-        counter = self._m_acts
-        if counter is not None:
-            counter.value += n
 
     def precharge(self) -> None:
         """Close the open row (idempotent)."""

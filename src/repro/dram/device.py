@@ -163,25 +163,9 @@ class DramDevice:
             prof.trackers_s += perf_counter() - t0
         self.stats.activations += len(rows)
 
-    def apply_activations_array(self, bank_id: int, rows,
-                                times) -> None:
-        """Array twin of :meth:`apply_activations` (vector kernel).
-
-        ``rows``/``times`` are parallel 1-D numpy arrays; bank,
-        oracle, tracker, and stats end in exactly the state the list
-        form -- and therefore per-ACT :meth:`activate` calls -- would
-        have produced.  Trackers that do not override
-        ``on_activates_array`` replay through their list bulk path.
-        """
-        self.banks[bank_id].activate_many_array(rows)
-        prof = _profile._ACTIVE
-        if prof is None:
-            self.trackers[bank_id].on_activates_array(rows, times)
-        else:
-            t0 = perf_counter()
-            self.trackers[bank_id].on_activates_array(rows, times)
-            prof.trackers_s += perf_counter() - t0
-        self.stats.activations += len(rows)
+    # Kept only because the benchmark's per-layer tracer wraps this
+    # name; drop it with the next change to the benchmark.
+    apply_activations_array = apply_activations
 
     def drfm_mitigate(self, bank_id: int, aggressor_row: int) -> int:
         """Mitigate one MC-sampled aggressor (DRFM); return victim count.

@@ -34,11 +34,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from repro.params import DramGeometry
 
 
@@ -130,18 +125,6 @@ class RowToSubarrayMapping:
         """
         return [self.physical_index(r) for r in rows]
 
-    def physical_indices_array(self, rows):
-        """Physical indices of a numpy row array (vector-kernel path).
-
-        ``rows`` is a 1-D integer ndarray; the result is an ndarray of
-        the same length.  The base implementation round-trips through
-        :meth:`physical_indices`; subclasses override it with
-        closed-form ufunc arithmetic so a whole deferred run maps in
-        one gather.
-        """
-        return _np.asarray(self.physical_indices(rows.tolist()),
-                           dtype=_np.int64)
-
     def logical_row(self, physical: int) -> int:
         """Inverse of :meth:`physical_index`."""
         raise NotImplementedError
@@ -154,16 +137,6 @@ class RowToSubarrayMapping:
         construction so the sweep does not pay a Python call per row.
         """
         return [self.logical_row(p) for p in range(start, end)]
-
-    def logical_rows_array(self, start: int, end: int):
-        """Logical rows of ``[start, end)`` as a numpy ``int64`` array.
-
-        Vector twin of :meth:`logical_rows`; the base implementation
-        converts the list form, subclasses compute the whole range
-        with ufunc arithmetic.
-        """
-        return _np.asarray(self.logical_rows(start, end),
-                           dtype=_np.int64)
 
     def subarray_of(self, row: int) -> int:
         """Subarray that logical row ``row`` physically lives in."""
@@ -212,19 +185,11 @@ class SequentialR2SA(RowToSubarrayMapping):
     def physical_indices(self, rows: Sequence[int]) -> List[int]:
         return list(rows)
 
-    def physical_indices_array(self, rows):
-        # Identity mapping: the input array *is* the answer.  Callers
-        # treat the result as read-only, so no copy is taken.
-        return rows
-
     def logical_row(self, physical: int) -> int:
         return physical
 
     def logical_rows(self, start: int, end: int) -> List[int]:
         return list(range(start, end))
-
-    def logical_rows_array(self, start: int, end: int):
-        return _np.arange(start, end, dtype=_np.int64)
 
 
 class StridedR2SA(RowToSubarrayMapping):
@@ -247,11 +212,6 @@ class StridedR2SA(RowToSubarrayMapping):
         num_sa = g.subarrays_per_bank
         rows_per_sa = g.rows_per_subarray
         return [(r % num_sa) * rows_per_sa + r // num_sa for r in rows]
-
-    def physical_indices_array(self, rows):
-        g = self.geometry
-        num_sa = g.subarrays_per_bank
-        return (rows % num_sa) * g.rows_per_subarray + rows // num_sa
 
     def logical_row(self, physical: int) -> int:
         g = self.geometry
@@ -278,12 +238,6 @@ class StridedR2SA(RowToSubarrayMapping):
             p = seg_end
         return out
 
-    def logical_rows_array(self, start: int, end: int):
-        g = self.geometry
-        physical = _np.arange(start, end, dtype=_np.int64)
-        return ((physical % g.rows_per_subarray) * g.subarrays_per_bank
-                + physical // g.rows_per_subarray)
-
 
 class AddressSpace:
     """Per-tenant translation of logical trace coordinates to geometry.
@@ -295,13 +249,9 @@ class AddressSpace:
     bijection per coordinate (rows within a bank, banks within a
     subchannel), so two tenants never alias unless their spaces do.
 
-    Both a scalar path (:meth:`translate`, consumed entry-at-a-time by
-    the event kernel's chunk pipeline) and a numpy path
-    (:meth:`translate_arrays`, consumed by the array/vector chunk fast
-    path) are provided, and they must agree element-for-element -- that
-    is what keeps the event/array/vector backends bit-identical when a
-    translated workload runs under each.  Rows and banks outside the
-    geometry are reduced modulo the geometry first, in both paths.
+    Every backend consumes the same :meth:`translate` output, so a
+    translated workload stays bit-identical across them.  Rows and
+    banks outside the geometry are reduced modulo the geometry first.
     """
 
     name = "identity"
@@ -314,24 +264,6 @@ class AddressSpace:
         """Physical ``(subchannel, bank, row)`` of one logical tuple."""
         raise NotImplementedError
 
-    def translate_arrays(self, subchannels, banks, rows):
-        """Array twin of :meth:`translate` over parallel ndarrays.
-
-        The base implementation round-trips through the scalar path so
-        custom subclasses only have to write :meth:`translate`;
-        built-in spaces override it with ufunc arithmetic or a single
-        fancy-indexed gather.
-        """
-        out_s = _np.empty(len(subchannels), dtype=_np.int64)
-        out_b = _np.empty(len(banks), dtype=_np.int64)
-        out_r = _np.empty(len(rows), dtype=_np.int64)
-        translate = self.translate
-        for i, (s, b, r) in enumerate(zip(subchannels.tolist(),
-                                          banks.tolist(),
-                                          rows.tolist())):
-            out_s[i], out_b[i], out_r[i] = translate(s, b, r)
-        return out_s, out_b, out_r
-
 
 class IdentityAddressSpace(AddressSpace):
     """Logical coordinates *are* physical coordinates (single tenant)."""
@@ -341,11 +273,6 @@ class IdentityAddressSpace(AddressSpace):
     def translate(self, subchannel: int, bank: int, row: int
                   ) -> Tuple[int, int, int]:
         return (subchannel, bank, row)
-
-    def translate_arrays(self, subchannels, banks, rows):
-        # Identity: the inputs are the answer; callers treat results
-        # as read-only, so no copies are taken.
-        return subchannels, banks, rows
 
 
 class StridedAddressSpace(AddressSpace):
@@ -380,12 +307,6 @@ class StridedAddressSpace(AddressSpace):
                 (bank + self.bank_offset) % g.banks_per_subchannel,
                 (row * self.stride + self.row_offset) % g.rows_per_bank)
 
-    def translate_arrays(self, subchannels, banks, rows):
-        g = self.geometry
-        return (subchannels,
-                (banks + self.bank_offset) % g.banks_per_subchannel,
-                (rows * self.stride + self.row_offset) % g.rows_per_bank)
-
 
 class PermutedAddressSpace(AddressSpace):
     """Seeded pseudo-random bijection of rows and banks.
@@ -414,10 +335,6 @@ class PermutedAddressSpace(AddressSpace):
         rng.shuffle(bank_table)
         self._row_table = row_table
         self._bank_table = bank_table
-        if _np is not None:
-            self._row_table_np = _np.asarray(row_table, dtype=_np.int64)
-            self._bank_table_np = _np.asarray(bank_table,
-                                              dtype=_np.int64)
 
     def translate(self, subchannel: int, bank: int, row: int
                   ) -> Tuple[int, int, int]:
@@ -425,12 +342,6 @@ class PermutedAddressSpace(AddressSpace):
         return (subchannel,
                 self._bank_table[bank % g.banks_per_subchannel],
                 self._row_table[row % g.rows_per_bank])
-
-    def translate_arrays(self, subchannels, banks, rows):
-        g = self.geometry
-        return (subchannels,
-                self._bank_table_np[banks % g.banks_per_subchannel],
-                self._row_table_np[rows % g.rows_per_bank])
 
 
 @dataclass(frozen=True)
@@ -529,16 +440,6 @@ class BitFieldDecoder:
         for name, bits in self.fields:
             decoded[name] = value & ((1 << bits) - 1)
             value >>= bits
-        return decoded
-
-    def decode_arrays(self, addresses) -> Dict[str, "object"]:
-        """Array twin of :meth:`decode` over an int64 ndarray."""
-        value = _np.asarray(addresses, dtype=_np.int64) >> \
-            self._line_shift
-        decoded = {}
-        for name, bits in self.fields:
-            decoded[name] = value & ((1 << bits) - 1)
-            value = value >> bits
         return decoded
 
     def encode_bus(self, **field_values: int) -> int:

@@ -16,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.params import DramGeometry
 
@@ -65,20 +60,6 @@ class RefreshSlice:
         if cached is None:
             cached = frozenset(self.logical_rows)
             object.__setattr__(self, "_row_set", cached)
-        return cached
-
-    def row_array(self):
-        """:attr:`logical_rows` as a cached numpy ``int64`` array.
-
-        The vector kernel's bulk paths gather per-row state for a whole
-        slice with one fancy index instead of iterating the list; like
-        :meth:`row_set`, the array is built once per slice and shared
-        by every consumer.  Callers must treat it as read-only.
-        """
-        cached = self.__dict__.get("_row_array")
-        if cached is None:
-            cached = _np.asarray(self.logical_rows, dtype=_np.int64)
-            object.__setattr__(self, "_row_array", cached)
         return cached
 
 

@@ -64,21 +64,6 @@ class BankTracker(abc.ABC):
         for row, now_ps in zip(rows, times):
             on_activate(row, now_ps)
 
-    def on_activates_array(self, rows, times) -> None:
-        """Observe a run of ACTs delivered as numpy arrays.
-
-        ``rows`` and ``times`` are parallel 1-D integer ndarrays (the
-        vector backend's flush representation).  The default converts
-        back to plain lists and delegates to :meth:`on_activates` --
-        the array backend's bulk replay -- so every tracker is
-        vector-safe by construction.  Hot trackers override it with
-        ufunc-based updates that leave identical final state, metric
-        counts, and RNG consumption; the vector backend only routes a
-        bank through this method when its tracker actually overrides
-        it.
-        """
-        self.on_activates(rows.tolist(), times.tolist())
-
     def wants_alert(self) -> bool:
         """True if the tracker needs the channel to assert ALERT now.
 

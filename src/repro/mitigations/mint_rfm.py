@@ -77,15 +77,6 @@ class MintTracker(BankTracker):
         for row in self.sampler.observe_many(rows):
             self._push(row)
 
-    def on_activates_array(self, rows, times) -> None:
-        """Vector path: the sampler's closed-form sweep indexes the
-        numpy run directly; selections come back as plain ints."""
-        if type(self).on_activate is not MintTracker.on_activate:
-            BankTracker.on_activates_array(self, rows, times)
-            return
-        for row in self.sampler.observe_many(rows):
-            self._push(row)
-
     def on_mitigation_slot(self, now_ps: int,
                            source: MitigationSlotSource) -> List[int]:
         if source is MitigationSlotSource.REF:

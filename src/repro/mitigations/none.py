@@ -19,9 +19,5 @@ class NoMitigation(BankTracker):
                      times: Sequence[int]) -> None:
         """A whole run of nothing: skip the per-ACT replay loop."""
 
-    def on_activates_array(self, rows, times) -> None:
-        """Vector form of the same nothing (keeps baseline banks on
-        the array flush path of the vector kernel)."""
-
     def storage_bits(self) -> int:
         return 0

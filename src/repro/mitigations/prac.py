@@ -24,11 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from repro.mitigations.base import BankTracker, MitigationSlotSource
 from repro.obs import metrics as _metrics
 from repro.params import AboTimings
@@ -110,45 +105,6 @@ class PracTracker(BankTracker):
                 if metric is not None:
                     metric.value += 1
         self._max_count = max_count
-
-    def on_activates_array(self, rows, times) -> None:
-        """Vector path: grouped counter updates over a numpy run.
-
-        ``np.unique`` collapses the run to one dict update per
-        *distinct* row (an attack run concentrates hundreds of ACTs on
-        a handful of rows), and threshold crossings are recovered
-        exactly and in arrival order: a row entering the run with
-        count ``c`` crosses at its ``(threshold - c)``-th occurrence,
-        and multiple crossers sort by the position of that occurrence.
-        """
-        if type(self).on_activate is not PracTracker.on_activate:
-            BankTracker.on_activates_array(self, rows, times)
-            return
-        uniq, occurrences = _np.unique(rows, return_counts=True)
-        counters = self._counters
-        get = counters.get
-        threshold = self.alert_threshold
-        max_count = self._max_count
-        crossers: List[tuple] = []
-        for row, occ in zip(uniq.tolist(), occurrences.tolist()):
-            old = get(row, 0)
-            new = old + occ
-            counters[row] = new
-            if new > max_count:
-                max_count = new
-            if old < threshold <= new:
-                pos = int(_np.flatnonzero(rows == row)
-                          [threshold - old - 1])
-                crossers.append((pos, row))
-        self._max_count = max_count
-        if crossers:
-            crossers.sort()
-            over = self._over_threshold
-            metric = self._m_alert_rows
-            for _pos, row in crossers:
-                over.append(row)
-                if metric is not None:
-                    metric.value += 1
 
     def wants_alert(self) -> bool:
         return bool(self._over_threshold)

@@ -325,14 +325,11 @@ def simulate(workload: Union[str, WorkloadSpec],
     specifically need to bypass result caching.
 
     ``backend`` selects the kernel backend (see
-    :mod:`repro.sim.backend`): a registered name (``"event"``,
-    ``"array"``, or ``"vector"``), a
-    :class:`~repro.sim.backend.KernelBackend` object, or ``None`` to
-    defer to ``REPRO_KERNEL_BACKEND`` (default ``event``).  Backends
-    are bit-identical by contract, so the choice never changes the
-    result -- only how fast it is produced.  ``"vector"`` needs
-    ``numpy>=1.24`` at run time and raises a clear ImportError when it
-    is missing, too old, or disabled via ``REPRO_DISABLE_VECTOR``.
+    :mod:`repro.sim.backend`): a registered name (``"event"`` or
+    ``"array"``), a :class:`~repro.sim.backend.KernelBackend` object,
+    or ``None`` to defer to ``REPRO_KERNEL_BACKEND`` (default
+    ``event``).  Backends are bit-identical by contract, so the choice
+    never changes the result -- only how fast it is produced.
 
     When observability is requested (an installed registry/trace buffer
     or the ``REPRO_METRICS`` / ``REPRO_TRACE`` knobs), collection is

@@ -5,11 +5,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean (0.0 for an empty input)."""
@@ -37,37 +32,25 @@ def geometric_mean(values: Iterable[float]) -> float:
 def percentile(values: Iterable[float], p: float) -> float:
     """The ``p``-th percentile (linear interpolation, ``p`` in [0, 100]).
 
-    Documented semantics: ``numpy.percentile``'s default ("linear")
-    method; returns 0.0 for an empty input.  When numpy is importable
-    the computation *is* ``numpy.percentile``; otherwise the pure-Python
-    implementation (:func:`_percentile_py`, kept tested either way)
-    produces the same values.
+    Exactly ``numpy.percentile``'s default ("linear") method, including
+    numpy's two-sided lerp: interpolate up from the lower neighbour
+    below the midpoint and down from the upper one at or above it, so
+    results agree to the last bit.  Returns 0.0 for an empty input.
     """
     if not 0.0 <= p <= 100.0:
         raise ValueError("percentile must be in [0, 100]")
-    values = list(values)
-    if not values:
-        return 0.0
-    if _np is not None:
-        return float(_np.percentile(values, p))
-    return _percentile_py(values, p)
-
-
-def _percentile_py(values: List[float], p: float) -> float:
-    """Pure-Python "linear" percentile (non-empty, validated input).
-
-    The fallback when numpy is absent; the stats test suite pins it
-    against :func:`percentile` so the two paths cannot drift.
-    """
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
+    if not ordered:
+        return 0.0
+    last = len(ordered) - 1
+    rank = last * (p / 100.0)
     lower = int(rank)
-    frac = rank - lower
-    if frac == 0.0 or lower + 1 >= len(ordered):
-        return ordered[lower]
-    return ordered[lower] * (1.0 - frac) + ordered[lower + 1] * frac
+    a, b = ordered[lower], ordered[min(lower + 1, last)]
+    t = rank - lower
+    diff = b - a
+    if t >= 0.5:
+        return float(b - diff * (1 - t))
+    return float(a + diff * t)
 
 
 def histogram(values: Iterable[float], bins: int = 10
@@ -76,14 +59,11 @@ def histogram(values: Iterable[float], bins: int = 10
 
     ``edges`` has ``bins + 1`` entries spanning [min, max]; a value on
     an interior edge lands in the higher bin (the last bin is closed on
-    both sides), matching ``numpy.histogram``.  Empty input yields all
+    both sides).  Varied input gives exactly ``numpy.histogram``'s
+    edges and counts: the bin index is estimated arithmetically, then
+    corrected against the edges as numpy does.  Empty input yields all
     zero counts over [0, 1]; constant input yields one occupied bin
-    over ``[c, c + 1]``.
-
-    Varied input delegates to ``numpy.histogram`` when numpy is
-    importable; empty and constant inputs always take the Python path,
-    because numpy's constant-input range ``(c - 0.5, c + 0.5)`` differs
-    from the documented ``[c, c + 1]`` edges.
+    over ``[c, c + 1]`` (numpy would use ``(c - 0.5, c + 0.5)``).
     """
     if bins < 1:
         raise ValueError("need at least one bin")
@@ -91,19 +71,21 @@ def histogram(values: Iterable[float], bins: int = 10
     if not values:
         return [0] * bins, [i / bins for i in range(bins + 1)]
     low, high = min(values), max(values)
-    if _np is not None and low != high:
-        counts, edges = _np.histogram(values, bins=bins)
-        return [int(c) for c in counts], [float(e) for e in edges]
     if low == high:
         high = low + 1.0
-    width = (high - low) / bins
+    span = high - low
+    width = span / bins
     edges = [low + i * width for i in range(bins + 1)]
     edges[-1] = high
     counts = [0] * bins
     for value in values:
-        index = int((value - low) / width)
-        if index >= bins:
-            index = bins - 1
+        index = int((value - low) / span * bins)
+        if index == bins:
+            index -= 1
+        if value < edges[index]:
+            index -= 1
+        elif index != bins - 1 and value >= edges[index + 1]:
+            index += 1
         counts[index] += 1
     return counts, edges
 

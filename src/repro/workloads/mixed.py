@@ -78,11 +78,6 @@ class MixedWorkload:
         """Chunked trace of ``core_id``'s member (hot-path form)."""
         return self._generators[core_id].chunk_source(core_id)
 
-    def trace_chunk_arrays(self, core_id: int, chunk_size: int = 256):
-        """Structured-array chunk stream of ``core_id``'s member."""
-        return self._generators[core_id].trace_chunk_arrays(
-            core_id, chunk_size)
-
     def trace_factory(self):
         """``core_id -> trace`` callable for MultiCoreSystem."""
         return self.chunk_source

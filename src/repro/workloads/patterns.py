@@ -17,8 +17,8 @@ A pattern compiles two ways from the same definition:
 - :meth:`AttackPattern.trace` / :meth:`AttackPattern.workload` -- the
   equivalent :class:`~repro.cpu.trace.TraceEntry` stream and
   :class:`~repro.workloads.attacks.AttackWorkload` for full-system runs.
-  All three kernel backends consume that single stream through the
-  ``WorkloadSource`` seam, so event/array/vector results stay
+  Both kernel backends consume that single stream through the
+  ``WorkloadSource`` seam, so event and array results stay
   bit-identical by the backend contract.
 
 Compilation is parameterised by a :class:`CompileContext` -- the
@@ -98,8 +98,7 @@ class AttackPattern:
 
     def chunk_source(self, ctx: CompileContext,
                      chunk_size: int = 256) -> ChunkSource:
-        """The timed compilation, chunked for the core fast path (and,
-        via ``next_chunk_array``, for the vector kernel)."""
+        """The timed compilation, chunked for the core fast path."""
         return chunk_entries(self.trace(ctx), chunk_size)
 
     def workload(self, ctx: CompileContext,
@@ -264,7 +263,8 @@ class DecoyEvasion(AttackPattern):
     burst: int = 0
     """Decoys between target activations; 0 means ``entries + 4``."""
     decoy_span: int = 0
-    """Decoy row range above the target; 0 means ``10 * entries``."""
+    """Decoy row range above the target; 0 means ``10 * entries``.
+    Decoys past the top of the bank wrap around to its bottom."""
 
     def rows(self, ctx: CompileContext) -> Iterator[int]:
         rng = random.Random(self.seed)
@@ -272,12 +272,13 @@ class DecoyEvasion(AttackPattern):
         span = self.decoy_span if self.decoy_span \
             else 10 * self.table_entries
         decoy_base = self.target_row + 1000
+        bank_rows = ctx.mapping.geometry.rows_per_bank
         emitted = 0
         while emitted < self.acts:
             yield self.target_row
             emitted += 1
             for _ in range(min(burst, self.acts - emitted)):
-                yield decoy_base + rng.randrange(span)
+                yield (decoy_base + rng.randrange(span)) % bank_rows
                 emitted += 1
 
 
@@ -295,7 +296,8 @@ class RefreshSyncBurst(AttackPattern):
     acts: int
     seed: int
     sync_acts: int = 0
-    """Sync-filler ACTs per interval; 0 pads to the full tREFI budget."""
+    """Sync-filler ACTs per interval; 0 pads to the full tREFI budget.
+    Decoys past the top of the bank wrap around to its bottom."""
 
     def rows(self, ctx: CompileContext) -> Iterator[int]:
         if not self.aggressors:
@@ -306,6 +308,7 @@ class RefreshSyncBurst(AttackPattern):
         filler = self.sync_acts if self.sync_acts \
             else max(0, ctx.acts_per_trefi - self.reads_per_trefi)
         decoy_base = max(self.aggressors) + 1000
+        bank_rows = ctx.mapping.geometry.rows_per_bank
         cycle = itertools.cycle(self.aggressors)
         emitted = 0
         while emitted < self.acts:
@@ -314,7 +317,7 @@ class RefreshSyncBurst(AttackPattern):
                 yield next(cycle)
                 emitted += 1
             for _ in range(min(filler, self.acts - emitted)):
-                yield decoy_base + rng.randrange(4096)
+                yield (decoy_base + rng.randrange(4096)) % bank_rows
                 emitted += 1
 
 

@@ -138,12 +138,9 @@ class TranslatedChunkSource:
     """A :class:`~repro.cpu.trace.ChunkSource` routed through an
     :class:`~repro.dram.mapping.AddressSpace`.
 
-    Delegates per-method so either consumption style works: the tuple
-    path translates entry tuples with the scalar ``translate``, the
-    array path translates whole chunk arrays with
-    ``translate_arrays``.  Both paths come from the same address-space
-    object whose scalar/array agreement is pinned by tests, so the
-    event and vector kernels see the identical physical stream.
+    Each chunk's entry tuples are translated with the space's
+    ``translate``, so every kernel backend sees the identical physical
+    stream.
     """
 
     __slots__ = ("_inner", "_space")
@@ -161,17 +158,9 @@ class TranslatedChunkSource:
         return [(c, i) + translate(s, b, r)
                 for c, i, s, b, r in chunk]
 
-    def next_chunk_array(self):
-        """Next structured array chunk, translated in place."""
-        chunk = self._inner.next_chunk_array()
-        if chunk is None:
-            return None
-        subch, bank, row = self._space.translate_arrays(
-            chunk["subchannel"], chunk["bank"], chunk["row"])
-        chunk["subchannel"] = subch
-        chunk["bank"] = bank
-        chunk["row"] = row
-        return chunk
+    # Kept only because the benchmark's per-layer tracer wraps this
+    # name; drop it with the next change to the benchmark.
+    next_chunk_array = next_chunk
 
     def __iter__(self) -> Iterator[TraceEntry]:
         while True:
@@ -293,15 +282,6 @@ class TenantWorkload:
         if isinstance(space, IdentityAddressSpace):
             return inner
         return TranslatedChunkSource(inner, space)
-
-    def trace_chunk_arrays(self, core_id: int, chunk_size: int = 256):
-        """One core's translated chunks as structured arrays."""
-        source = self.chunk_source(core_id)
-        while True:
-            chunk = source.next_chunk_array()
-            if chunk is None:
-                return
-            yield chunk
 
     def trace_factory(self) -> Callable[[int], ChunkSource]:
         """``core_id -> trace`` callable for ``MultiCoreSystem``."""

@@ -34,8 +34,8 @@ import io
 from typing import Callable, Dict, Iterable, Iterator, List, \
     Optional, TextIO, Tuple, Union
 
-from repro.cpu.trace import ChunkSource, ENTRY_DTYPE, TraceEntry, \
-    chunk_entries, chunk_to_array, cyclic
+from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries, \
+    cyclic
 from repro.dram.mapping import AddressSpace, AddressSpaceSpec, \
     BitFieldDecoder, IdentityAddressSpace
 from repro.params import DramGeometry, SystemConfig
@@ -463,30 +463,6 @@ class TraceFileWorkload:
     def chunk_source(self, core_id: int) -> ChunkSource:
         """The chunked trace wrapped for :class:`repro.cpu.core.Core`."""
         return chunk_entries(self.trace(core_id))
-
-    def trace_chunk_arrays(self, core_id: int, chunk_size: int = 256):
-        """One core's trace as a stream of structured chunk arrays."""
-        source = chunk_entries(self.trace(core_id), chunk_size)
-        while True:
-            chunk = source.next_chunk_array()
-            if chunk is None:
-                return
-            yield chunk
-
-    def entries_array(self):
-        """The whole (non-cycled) trace as one structured array.
-
-        An :data:`~repro.cpu.trace.ENTRY_DTYPE` view of
-        :attr:`entries`, for vector-kernel consumers and offline
-        analysis; the entry list remains the source of truth.
-        """
-        if ENTRY_DTYPE is None:
-            raise ImportError(
-                "entries_array() needs numpy; install it or use "
-                ".entries")
-        return chunk_to_array(
-            [(e.compute_ps, e.instructions, e.subchannel, e.bank, e.row)
-             for e in self.entries])
 
     def trace_factory(self) -> Callable[[int], ChunkSource]:
         """``core_id -> trace`` callable for ``MultiCoreSystem``."""

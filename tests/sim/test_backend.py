@@ -1,11 +1,11 @@
-"""Kernel-backend API tests and the event/array/vector identity gate.
+"""Kernel-backend API tests and the event/array identity gate.
 
-The fast backends' entire value proposition is "same bits, less
+The array backend's entire value proposition is "same bits, less
 time", so the core of this module is a parametrized sweep: every
 mitigation family in the repository runs the same (workload, scale,
-seed) window under the event backend and each fast backend, and the
+seed) window under the event backend and the array backend, and the
 observable result fields must match exactly.  The registry/env/CLI
-plumbing and the serial-vs-pool equivalence under the fast backends
+plumbing and the serial-vs-pool equivalence under the array backend
 are covered around it.
 """
 
@@ -22,12 +22,10 @@ from repro.sim.backend import (
     ArrayBackend,
     EventBackend,
     KernelBackend,
-    VectorBackend,
     available_backends,
     backend_by_name,
     default_backend_name,
     resolve_backend,
-    vector_available,
 )
 from repro.sim.runner import (
     MitigationSetup,
@@ -44,12 +42,7 @@ from repro.sim.runner import (
 SCALE = SimScale(2048)
 SEED = 0
 
-FAST_BACKENDS = [
-    "array",
-    pytest.param("vector", marks=pytest.mark.skipif(
-        not vector_available(),
-        reason="vector backend needs numpy>=1.24")),
-]
+FAST_BACKENDS = ["array"]
 """The backends that must be bit-identical to ``event``."""
 
 
@@ -57,10 +50,9 @@ FAST_BACKENDS = [
 # Registry / selection API
 # ----------------------------------------------------------------------
 def test_builtin_backends_registered():
-    assert available_backends() == ["array", "event", "vector"]
+    assert available_backends() == ["array", "event"]
     assert isinstance(backend_by_name("event"), EventBackend)
     assert isinstance(backend_by_name("array"), ArrayBackend)
-    assert isinstance(backend_by_name("vector"), VectorBackend)
 
 
 def test_backends_satisfy_protocol():
@@ -73,15 +65,9 @@ def test_unknown_backend_lists_known_names():
         backend_by_name("vectorised")
 
 
-def test_vector_backend_unavailable_raises_clear_error(monkeypatch):
-    """The vector backend stays registered but refuses to run when the
-    numpy fast paths are unavailable (here: force-disabled)."""
-    monkeypatch.setenv(backend_mod.DISABLE_ENV_VAR, "1")
-    assert not vector_available()
-    assert "vector" in available_backends()
-    with pytest.raises(ImportError, match="numpy>=1.24"):
-        simulate("tc", baseline_setup(), SimScale(8192), seed=SEED,
-                 backend="vector")
+def test_removed_vector_backend_is_unknown():
+    with pytest.raises(KeyError, match="known: array, event"):
+        backend_by_name("vector")
 
 
 def test_register_backend_rejects_duplicates():

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.sim import stats as stats_mod
 from repro.sim.stats import (
     format_table,
     geometric_mean,
@@ -59,7 +58,7 @@ class TestPercentile:
 
     def test_matches_numpy_linear_method(self):
         # numpy.percentile([10, 20, 30, 40], 25) == 17.5
-        assert percentile([10, 20, 30, 40], 25) == pytest.approx(17.5)
+        assert percentile([10, 20, 30, 40], 25) == 17.5
 
     def test_empty_and_singleton(self):
         assert percentile([], 50) == 0.0
@@ -100,42 +99,50 @@ class TestHistogram:
             histogram([1], bins=0)
 
 
-@pytest.mark.skipif(stats_mod._np is None, reason="needs numpy")
 class TestNumpyFallbackEquivalence:
-    """The numpy-delegated and pure-Python paths must agree exactly."""
+    """The pure-Python helpers must agree exactly with numpy, which is
+    only a test-side reference (the runtime never imports it)."""
 
-    def test_percentile_paths_agree(self, monkeypatch):
+    def test_percentile_paths_agree(self):
+        np = pytest.importorskip("numpy")
         rng = random.Random(5)
-        for _ in range(20):
-            data = [rng.uniform(-50, 50)
-                    for _ in range(rng.randrange(1, 40))]
-            p = rng.uniform(0, 100)
-            with_numpy = percentile(data, p)
-            monkeypatch.setattr(stats_mod, "_np", None)
-            without = percentile(data, p)
-            monkeypatch.undo()
-            assert without == pytest.approx(with_numpy, abs=1e-9)
+        for _ in range(2000):
+            n = rng.randrange(1, 40)
+            if rng.random() < 0.5:
+                data = [rng.uniform(-50, 50) for _ in range(n)]
+            else:
+                data = [rng.randrange(-20, 20) for _ in range(n)]
+            p = rng.choice([0, 25, 50, 99, 100, rng.uniform(0, 100)])
+            assert percentile(data, p) == float(np.percentile(data, p))
 
-    def test_histogram_paths_agree(self, monkeypatch):
+    def test_histogram_paths_agree(self):
+        np = pytest.importorskip("numpy")
         rng = random.Random(9)
-        for _ in range(20):
-            data = [rng.uniform(0, 100)
-                    for _ in range(rng.randrange(2, 60))]
+        for _ in range(500):
             bins = rng.randrange(1, 12)
-            counts_np, edges_np = histogram(data, bins)
-            monkeypatch.setattr(stats_mod, "_np", None)
+            low = rng.uniform(-10, 10)
+            width = rng.uniform(0.001, 10) / bins
+            # Half the values sit exactly on bin edges, where rounding
+            # decides the bin.
+            data = [low + rng.randrange(bins + 1) * width
+                    if rng.random() < 0.5 else
+                    rng.uniform(low, low + bins * width)
+                    for _ in range(rng.randrange(2, 60))]
+            if min(data) == max(data):
+                continue
+            counts_np, edges_np = np.histogram(data, bins=bins)
             counts_py, edges_py = histogram(data, bins)
-            monkeypatch.undo()
-            assert counts_py == counts_np
-            assert edges_py == pytest.approx(edges_np)
+            assert counts_py == counts_np.tolist()
+            assert edges_py == edges_np.tolist()
 
-    def test_empty_and_constant_inputs_agree(self, monkeypatch):
-        for data in ([], [4.0, 4.0, 4.0]):
-            with_numpy = histogram(data, bins=3)
-            monkeypatch.setattr(stats_mod, "_np", None)
-            without = histogram(data, bins=3)
-            monkeypatch.undo()
-            assert without == with_numpy
+    def test_empty_and_constant_inputs_agree(self):
+        """Empty input spans numpy's default [0, 1]; constant input
+        spans [c, c + 1] (numpy's own default would be c +- 0.5)."""
+        np = pytest.importorskip("numpy")
+        for data, span in (([], (0.0, 1.0)), ([4.0, 4.0, 4.0], (4.0, 5.0))):
+            counts_np, edges_np = np.histogram(data, bins=3, range=span)
+            assert histogram(data, bins=3) == (counts_np.tolist(),
+                                               edges_np.tolist())
 
 
 class TestFormatTable:

@@ -144,6 +144,30 @@ class TestRefreshSyncBurst:
                                   acts=4, seed=0).rows(ctx))
 
 
+class TestDecoysStayInBank:
+    """Decoys above a target near the top of the bank wrap around
+    instead of running past it; in-range decoys are unchanged."""
+
+    def test_decoy_evasion_near_bank_top(self, ctx):
+        top = ctx.mapping.geometry.rows_per_bank
+        rows = list(DecoyEvasion(table_entries=28, target_row=top - 10,
+                                 acts=2000, seed=5).rows(ctx))
+        assert all(0 <= r < top for r in rows)
+        assert any(r < top - 10 for r in rows)  # some decoys wrapped
+
+    def test_refresh_sync_burst_near_bank_top(self, ctx):
+        top = ctx.mapping.geometry.rows_per_bank
+        rows = list(RefreshSyncBurst(aggressors=(top - 3, top - 1),
+                                     reads_per_trefi=4, acts=2000,
+                                     seed=5).rows(ctx))
+        assert all(0 <= r < top for r in rows)
+
+    def test_in_range_decoys_unchanged(self, ctx):
+        rows = list(DecoyEvasion(table_entries=8, target_row=50,
+                                 acts=300, seed=0).rows(ctx))
+        assert all(r == 50 or 1050 <= r < 1130 for r in rows)
+
+
 class TestSequence:
     def test_concatenates_parts(self, ctx):
         pattern = Sequence(parts=(
@@ -170,18 +194,16 @@ class TestCompilationAgreement:
         assert [e.row for e in take(workload.trace(2), 9)] == rows
         assert list(workload.trace(1)) == []
 
-    def test_chunk_arrays_match_entries(self, ctx):
-        pytest.importorskip("numpy")
+    def test_chunks_match_entries(self, ctx):
         pattern = Feint(tracker_entries=4, acts=20, decoys=1)
-        rows = [e.row for e in pattern.trace(ctx)]
+        entries = [(e.compute_ps, e.instructions, e.subchannel, e.bank,
+                    e.row) for e in pattern.trace(ctx)]
         source = pattern.chunk_source(ctx, chunk_size=8)
         seen = []
-        while True:
-            chunk = source.next_chunk_array()
-            if chunk is None:
-                break
-            seen.extend(int(r) for r in chunk["row"])
-        assert seen == rows
+        while (chunk := source.next_chunk()) is not None:
+            assert len(chunk) <= 8
+            seen.extend(chunk)
+        assert seen == entries
 
 
 class TestJobMaterial:
