@@ -30,11 +30,17 @@ the committed reference only for *relative* regressions.
 
 The calibration sweep is warmed (and cached) before timing starts, so
 the numbers measure ``simulate()`` itself, best of ``--rounds`` runs.
+
+The suite runs inside ``Observation.from_env()``: ``REPRO_METRICS=1``
+or ``REPRO_PROFILE=1`` times the kernel with that collection on, and
+the result meta records how many metric keys were collected
+(``metric_keys``), so an observability-on run can prove it observed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import subprocess
@@ -46,6 +52,13 @@ from typing import Dict, List, Optional
 from repro.params import SimScale
 from repro.sim.registry import setup_by_name
 from repro.sim.runner import calibrated_workload, simulate
+
+try:
+    from repro.obs.observation import Observation
+except ImportError:
+    # Older library trees (CI times the base tree with this script)
+    # read REPRO_METRICS inside simulate() themselves.
+    Observation = None
 
 SETUPS = ("baseline", "prac-1000", "mint-rfm-1000", "mirza-1000")
 WORKLOADS = ("tc", "mcf")
@@ -311,8 +324,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     workloads = [w for w in args.workloads.split(",") if w]
     backends = [b for b in args.backends.split(",") if b]
 
-    results = run_suite(scale, args.seed, rounds, workloads, backends)
-    bench_trace_cells(scale, args.seed, rounds, backends, results)
+    with (Observation.from_env() if Observation is not None
+          else contextlib.nullcontext()) as observed:
+        results = run_suite(scale, args.seed, rounds, workloads,
+                            backends)
+        bench_trace_cells(scale, args.seed, rounds, backends, results)
+    metrics = getattr(observed, "metrics", None)
     annotate_speedups(results)
     mismatches = check_backend_identity(results)
     payload = {
@@ -326,6 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "machine": platform.machine(),
             "commit": args.commit or git_commit(),
             "timestamp": args.timestamp or iso_timestamp(),
+            "metric_keys": len(metrics) if metrics is not None else 0,
         },
         "results": results,
     }

@@ -70,11 +70,12 @@ def scaled_prac_setup(scale: SimScale):
 def trace_run(label: str, setup, scale: SimScale,
               out_dir: pathlib.Path):
     """Simulate HAMMER under ``setup``; write a Perfetto trace."""
-    with obs.collecting(metrics=True, trace=True) as col:
+    with obs.observing(metrics=True, trace=True) as observed:
         result = simulate(HAMMER, setup, scale)
     path = out_dir / f"{label}.trace.json"
-    written = col.write_chrome_trace(str(path))
-    events = col.trace_events()
+    events = observed.trace.as_list()
+    written = obs.write_chrome_trace(events, str(path),
+                                     spans=observed.spans.as_list())
     by_name = {}
     for _, ph, name, _, _ in events:
         if ph in ("I", "B"):

@@ -58,6 +58,7 @@ import os
 import sys
 from typing import Iterator, List, Optional
 
+from repro.obs.observation import Observation
 from repro.report import exhibit_names, run_exhibit, write_report
 from repro.sim.session import FailurePolicy, SimSession
 
@@ -147,16 +148,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--metrics", action="store_true",
             help="collect the kernel metrics registry over every "
-                 "simulation and print the aggregated table afterwards "
-                 "(REPRO_METRICS=1 works too)")
+                 "computed simulation and print the aggregated table "
+                 "afterwards (REPRO_METRICS=1 works too)")
         p.add_argument(
             "--trace-out", default=None, metavar="FILE",
-            help="record structured events and write a Perfetto-"
-                 "loadable Chrome trace to FILE (enables REPRO_TRACE)")
+            help="record structured events and session/worker spans "
+                 "and write a Perfetto-loadable Chrome trace to FILE")
         p.add_argument(
             "--trace-limit", type=int, default=None, metavar="N",
             help="ring-buffer capacity for event tracing "
-                 "(default: REPRO_TRACE_LIMIT or 200000)")
+                 "(default: 200000)")
         p.add_argument(
             "--progress", action="store_true",
             help="print a live progress line (cells done/total, cache "
@@ -258,14 +259,6 @@ def _environment(args: argparse.Namespace) -> Iterator[None]:
     saved = {}
     overrides = {var: getattr(args, dest, None)
                  for dest, var in _ENV_FLAGS}
-    if getattr(args, "metrics", False):
-        overrides["REPRO_METRICS"] = "1"
-    if getattr(args, "trace_out", None):
-        overrides["REPRO_TRACE"] = "1"
-        # A Perfetto trace carries the session/worker span tracks too.
-        overrides["REPRO_SPANS"] = "1"
-    if getattr(args, "trace_limit", None):
-        overrides["REPRO_TRACE_LIMIT"] = getattr(args, "trace_limit")
     try:
         for var, value in overrides.items():
             if value is None:
@@ -287,6 +280,10 @@ def _session_for(args: argparse.Namespace) -> SimSession:
     Failure policy: an explicit ``--keep-going``/``--fail-fast`` wins;
     otherwise ``report`` keeps going (one poisoned cell degrades a
     report, it doesn't destroy it) and everything else fails fast.
+
+    ``stats`` and ``trace`` only output an observation, which a cached
+    result never carries, so their sessions run with the disk cache
+    off, as under ``--no-cache``.
     """
     if getattr(args, "keep_going", False):
         policy = FailurePolicy.KEEP_GOING
@@ -302,7 +299,8 @@ def _session_for(args: argparse.Namespace) -> SimSession:
         progress = ProgressLine()
     return SimSession(
         cache_dir=getattr(args, "cache_dir", None),
-        disk_cache=False if getattr(args, "no_cache", False) else None,
+        disk_cache=False if getattr(args, "no_cache", False)
+        or args.command in ("stats", "trace") else None,
         max_workers=getattr(args, "jobs", None),
         failure_policy=policy,
         max_retries=getattr(args, "max_retries", None),
@@ -318,9 +316,8 @@ def _is_trace_target(name: str) -> bool:
 
 def _run_simulations(args: argparse.Namespace,
                      session: SimSession) -> int:
-    """Simulate ``args.targets`` under ``args.setup`` and emit whatever
-    observability output the flags asked for (metrics table, Chrome
-    trace, JSON-lines events).
+    """Simulate ``args.targets`` under ``args.setup`` and print one
+    summary line per target.
 
     Path-shaped targets are replayed as ingested traces
     (:class:`~repro.sim.session.TraceReplayJob`); when such a trace
@@ -348,16 +345,7 @@ def _run_simulations(args: argparse.Namespace,
     except OSError as error:
         print(f"trace target: {error}", file=sys.stderr)
         return 2
-    trace_out = getattr(args, "trace_out", None)
-    recorder = None
-    if trace_out:
-        # Record session/worker spans parent-side so the Chrome trace
-        # carries the batch-execution tracks next to the kernel lanes.
-        from repro.obs import spans as obs_spans
-        with obs_spans.recording() as recorder:
-            results = session.run_many(jobs)
-    else:
-        results = session.run_many(jobs)
+    results = session.run_many(jobs)
     status = 0
 
     for name, job, result in zip(targets, jobs, results):
@@ -385,56 +373,39 @@ def _run_simulations(args: argparse.Namespace,
                 print(f"calibration[{job.workload}]: {label} "
                       f"measured {measured:.1f}, paper {paper} -> "
                       f"{'ok' if ok else 'DEV'}")
-    results = [r for r in results if not is_failure(r)]
-
-    snapshots = [r.metrics for r in results if r.metrics]
-    if snapshots:
-        from repro.obs import merge_snapshots, render_metrics_report
-        # The session-local batch gauges (cache hit-rate, pool
-        # utilization, queue depth) ride along in the same table.
-        merged = merge_snapshots(snapshots + [session.obs_snapshot()])
-        print()
-        print(render_metrics_report(merged))
-    elif getattr(args, "command", None) == "stats":
+    if args.command == "stats" and all(map(is_failure, results)):
         print("stats: no metrics were recorded (every job failed or "
               "was skipped); nothing to report", file=sys.stderr)
         return 3
+    return status
 
-    if trace_out:
-        from repro.obs import export as obs_export
-        events = []
-        for result in results:
-            events.extend(result.trace_events or [])
-        spans = recorder.as_list() if recorder is not None else None
-        obs_export.write_chrome_trace(events, trace_out, spans=spans)
-        print(f"wrote {len(events)} events and "
-              f"{len(spans or [])} spans to {trace_out} "
-              f"(load in https://ui.perfetto.dev)", file=sys.stderr)
+
+def _emit_observation(args: argparse.Namespace, observed: Observation,
+                      session: SimSession) -> None:
+    """Print or write what the command observed: the metrics table
+    (with the session-local batch gauges -- cache hit-rate, pool
+    utilization, queue depth -- in the same table), the Chrome trace,
+    the JSON-lines events, and the kernel profile."""
+    from repro.obs import export as obs_export
+    from repro.obs import merge_snapshots, render_metrics_report
+
+    if observed.metrics is not None:
+        print()
+        print(render_metrics_report(merge_snapshots(
+            [observed.metrics.snapshot(), session.obs_snapshot()])))
+    if observed.trace is not None:
+        events = observed.trace.as_list()
+        spans = observed.spans.as_list()
+        obs_export.write_chrome_trace(events, args.trace_out, spans=spans)
+        print(f"wrote {len(events)} events and {len(spans)} spans to "
+              f"{args.trace_out} (load in https://ui.perfetto.dev)",
+              file=sys.stderr)
         jsonl_out = getattr(args, "jsonl_out", None)
         if jsonl_out:
             obs_export.write_jsonl(events, jsonl_out)
             print(f"wrote JSONL events to {jsonl_out}", file=sys.stderr)
-    return status
-
-
-@contextlib.contextmanager
-def _trace_capture(trace_out):
-    """Scope kernel tracing + span recording over a block and write the
-    merged Chrome trace to ``trace_out`` on clean exit.  A no-op scope
-    when ``trace_out`` is falsy."""
-    if not trace_out:
-        yield
-        return
-    from repro.obs import export as obs_export
-    from repro.obs import spans as obs_spans
-    from repro.obs import trace as obs_trace
-    with obs_trace.tracing() as buf, obs_spans.recording() as rec:
-        yield
-    obs_export.write_chrome_trace(buf.as_list(), trace_out,
-                                  spans=rec.as_list())
-    print(f"wrote {len(buf)} events and {len(rec.spans)} spans to "
-          f"{trace_out} (load in https://ui.perfetto.dev)",
-          file=sys.stderr)
+    if observed.profile is not None:
+        print(observed.profile.report(), file=sys.stderr)
 
 
 def _trace_convert(argv: List[str]) -> int:
@@ -602,57 +573,48 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for name in exhibit_names():
                     print(name)
             return 0
-        from repro.sim.profile import maybe_profile_from_env
         from repro.sim.session import JobFailed
-        with maybe_profile_from_env(
-                force=getattr(args, "profile", False)) as prof:
-            status = 0
-            try:
-                if args.command == "report":
-                    only = getattr(args, "only", None)
-                    only = ([n for n in only.split(",") if n.strip()]
-                            if only else None)
-                    with _trace_capture(
-                            getattr(args, "trace_out", None)):
-                        write_report(args.path, only=only,
-                                     session=session)
-                elif args.command == "fuzz":
-                    status = _run_fuzz(args, session)
-                elif args.command in ("stats", "trace") or (
-                        args.command == "run" and args.setup):
-                    status = _run_simulations(args, session)
+        observed = stack.enter_context(Observation.from_env(
+            metrics=args.metrics, trace=bool(args.trace_out),
+            profile=args.profile, trace_limit=args.trace_limit))
+        status = 0
+        try:
+            if args.command == "report":
+                only = getattr(args, "only", None)
+                only = ([n for n in only.split(",") if n.strip()]
+                        if only else None)
+                write_report(args.path, only=only, session=session)
+            elif args.command == "fuzz":
+                status = _run_fuzz(args, session)
+            elif args.command in ("stats", "trace") or (
+                    args.command == "run" and args.setup):
+                status = _run_simulations(args, session)
+            else:
+                names = list(args.exhibits)
+                names.extend(getattr(args, "experiment", None) or [])
+                if not names:
+                    print("run: name at least one exhibit (or pass "
+                          "--experiment NAME)", file=sys.stderr)
+                    return 2
+                if getattr(args, "experiment", None):
+                    status = _run_experiments(names, session)
                 else:
-                    names = list(args.exhibits)
-                    names.extend(getattr(args, "experiment", None)
-                                 or [])
-                    if not names:
-                        print("run: name at least one exhibit (or "
-                              "pass --experiment NAME)",
-                              file=sys.stderr)
-                        return 2
-                    with _trace_capture(
-                            getattr(args, "trace_out", None)):
-                        if getattr(args, "experiment", None):
-                            status = _run_experiments(names, session)
-                        else:
-                            for name in names:
-                                try:
-                                    print(run_exhibit(
-                                        name, session=session))
-                                except KeyError as error:
-                                    print(error, file=sys.stderr)
-                                    return 2
-            except JobFailed as error:
-                # fail_fast: completed siblings are already cached, so
-                # a rerun resumes from where this batch died.
-                print(f"error: {error.failure.describe()}",
-                      file=sys.stderr)
-                print("(completed jobs were cached; rerun to resume, "
-                      "or pass --keep-going to degrade instead of "
-                      "aborting)", file=sys.stderr)
-                return 1
-        if prof is not None:
-            print(prof.report(), file=sys.stderr)
+                    for name in names:
+                        try:
+                            print(run_exhibit(name, session=session))
+                        except KeyError as error:
+                            print(error, file=sys.stderr)
+                            return 2
+        except JobFailed as error:
+            # fail_fast: completed siblings are already cached, so
+            # a rerun resumes from where this batch died.
+            print(f"error: {error.failure.describe()}", file=sys.stderr)
+            print("(completed jobs were cached; rerun to resume, or "
+                  "pass --keep-going to degrade instead of aborting)",
+                  file=sys.stderr)
+            return 1
+        if status != 3:  # 3: `stats` recorded nothing to emit
+            _emit_observation(args, observed, session)
     return status
 
 

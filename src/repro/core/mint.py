@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 
 
 class MintSampler:
@@ -39,7 +39,7 @@ class MintSampler:
         self.windows_completed = 0
         self.observed = 0
         self.selected = 0
-        reg = _metrics._ACTIVE
+        reg = _observation().metrics
         if reg is not None:
             self._m_observed = reg.counter("mint.observed")
             self._m_selected = reg.counter("mint.selected")

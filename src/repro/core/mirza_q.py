@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 
 
 class MirzaQueue:
@@ -41,7 +41,7 @@ class MirzaQueue:
         self.insertions = 0
         self.dropped_insertions = 0
         self.evictions = 0
-        reg = _metrics._ACTIVE
+        reg = _observation().metrics
         if reg is not None:
             self._m_inserts = reg.counter("mirza_q.inserts")
             self._m_drops = reg.counter("mirza_q.drops")

@@ -32,7 +32,7 @@ import enum
 from typing import List, Optional, Sequence
 
 from repro.dram.refresh import RefreshSlice
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 from repro.params import DramGeometry
 
 
@@ -72,7 +72,7 @@ class RegionCountTable:
         self._refreshing_region: Optional[int] = None
         self.filtered_acts = 0
         self.escaped_acts = 0
-        reg = _metrics._ACTIVE
+        reg = _observation().metrics
         if reg is not None:
             self._m_filtered = reg.counter("rct.filtered")
             self._m_escaped = reg.counter("rct.escaped")

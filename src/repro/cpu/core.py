@@ -24,9 +24,8 @@ from collections import deque
 from time import perf_counter
 from typing import Deque, Iterator, List, Optional, Tuple
 
-from repro import _profile
 from repro.cpu.trace import EntryTuple, TraceEntry, chunk_entries
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 
 
 class Core:
@@ -35,7 +34,7 @@ class Core:
     __slots__ = ("core_id", "trace", "mlp", "tenant", "clock",
                  "retired_instructions", "misses_issued", "_outstanding",
                  "_chunks", "_buf", "_idx", "_m_stall_ps",
-                 "_m_outstanding")
+                 "_m_outstanding", "_prof")
 
     def __init__(self, core_id: int, trace: Iterator[TraceEntry],
                  mlp: int = 8, tenant: Optional[str] = None) -> None:
@@ -58,16 +57,18 @@ class Core:
             self._chunks = chunk_entries(trace)
         self._buf: List[EntryTuple] = []
         self._idx = 0
-        reg = _metrics._ACTIVE
+        observed = _observation()
+        reg = observed.metrics
         self._m_stall_ps = reg.counter("cpu.stall_ps") \
             if reg is not None else None
         self._m_outstanding = reg.histogram(
             "cpu.outstanding", bounds=(1, 2, 4, 8, 16, 32)) \
             if reg is not None else None
+        self._prof = observed.profile
 
     def _refill(self) -> bool:
         """Pull the next chunk into the buffer; False when exhausted."""
-        prof = _profile._ACTIVE
+        prof = self._prof
         if prof is None:
             chunk = self._chunks.next_chunk()
         else:

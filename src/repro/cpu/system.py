@@ -9,17 +9,17 @@ activation counts, ALERT/RFM rates, and mitigation-energy accounting.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from time import perf_counter
 from typing import Callable, Iterator, List, Optional
 
-from repro import _profile
 from repro.cpu.core import Core
 from repro.cpu.trace import TraceEntry
 from repro.dram.device import DramDevice
 from repro.dram.mapping import RowToSubarrayMapping
 from repro.mc.controller import MemoryController
 from repro.mitigations.base import BankTracker
+from repro.obs.observation import current as _observation
 from repro.params import SystemConfig
 
 
@@ -41,12 +41,6 @@ class SimResult:
     victim_rows_refreshed: int = 0
     demand_rows_refreshed: int = 0
     max_unmitigated_acts: int = 0
-    metrics: Optional[dict] = None
-    """Metrics snapshot collected over the run (None when disabled)."""
-    trace_events: Optional[list] = None
-    """Structured trace events from the run (None when disabled)."""
-    spans: Optional[list] = None
-    """Wall-clock execution spans from the run (None when disabled)."""
     backend: Optional[str] = None
     """Kernel backend that produced this result (None = pre-backend
     payloads; backends are bit-identical, so this is pure metadata)."""
@@ -55,6 +49,16 @@ class SimResult:
     unmitigated_by_bank: Optional[List[List[int]]] = None
     """Per-subchannel, per-bank worst unmitigated-ACT counts (escape
     exposure; ``max_unmitigated_acts`` is the max over this table)."""
+    # Init-only keywords, accepted and dropped only because the
+    # benchmark's own test builds results with them: observations never
+    # ride on a result (see repro.obs.observation), so both read None.
+    # Drop them with the next change to the benchmark.
+    metrics: InitVar[Optional[dict]] = None
+    spans: InitVar[Optional[list]] = None
+
+    def __post_init__(self, metrics: Optional[dict],
+                      spans: Optional[list]) -> None:
+        pass
 
     def weighted_speedup(self, baseline: "SimResult") -> float:
         """Sum of per-core IPC ratios against ``baseline`` (Section III)."""
@@ -177,6 +181,8 @@ class MultiCoreSystem:
                  drfm_factory=None,
                  tenants: Optional[List[Optional[str]]] = None) -> None:
         self.config = config
+        self.profile = _observation().profile
+        """The profile this system's runs accumulate into (or None)."""
         self.devices: List[DramDevice] = []
         self.mcs: List[MemoryController] = []
         self.command_logs = []
@@ -212,7 +218,7 @@ class MultiCoreSystem:
 
     def run(self, window_ps: int) -> SimResult:
         """Simulate ``window_ps`` picoseconds; return the measurements."""
-        prof = _profile._ACTIVE
+        prof = self.profile
         t0 = perf_counter() if prof is not None else 0.0
         self.drive(window_ps)
         for mc in self.mcs:
@@ -231,7 +237,7 @@ class MultiCoreSystem:
         measurement pass (the array backend flushes its deferred device
         bookkeeping there).
         """
-        prof = _profile._ACTIVE
+        prof = self.profile
         heappush = heapq.heappush
         heappop = heapq.heappop
         cores = self.cores

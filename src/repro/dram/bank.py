@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 from repro.params import DramGeometry
 
 
@@ -144,7 +144,7 @@ class Bank:
         self._rows_per_bank = geometry.rows_per_bank
         # Observability binds at construction: per-bank ACT/REF counters
         # are prefetched so the off path is a single None check.
-        reg = _metrics._ACTIVE
+        reg = _observation().metrics
         self._m_acts = reg.counter("dram.bank.acts", subch, bank_id) \
             if reg is not None else None
         self._m_refs = reg.counter("dram.bank.refs", subch, bank_id) \

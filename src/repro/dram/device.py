@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
-from repro import _profile
 from repro.dram.bank import Bank
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.dram.refresh import RefreshScheduler, RefreshSlice
 from repro.mitigations.base import BankTracker, MitigationSlotSource
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.obs.observation import current as _observation
 from repro.params import MitigationCosts, SystemConfig
 
 TrackerFactory = Callable[[int], BankTracker]
@@ -116,7 +114,8 @@ class DramDevice:
         self.refresh = RefreshScheduler(geometry, self.mapping,
                                         refs_per_window)
         self.stats = DeviceStats()
-        reg = _metrics._ACTIVE
+        observed = _observation()
+        reg = observed.metrics
         if reg is not None:
             self._m_refs = reg.counter("dram.refs")
             self._m_alerts = reg.counter("dram.alerts_serviced")
@@ -127,7 +126,8 @@ class DramDevice:
         else:
             self._m_refs = self._m_alerts = self._m_victims = None
             self._m_mitigations = None
-        self._tr = _trace._ACTIVE
+        self._tr = observed.trace
+        self._prof = observed.profile
 
     # ------------------------------------------------------------------
     # Controller-facing operations
@@ -135,7 +135,7 @@ class DramDevice:
     def activate(self, bank_id: int, row: int, now_ps: int) -> None:
         """Activate ``row`` in ``bank_id``; trackers observe the ACT."""
         self.banks[bank_id].activate(row)
-        prof = _profile._ACTIVE
+        prof = self._prof
         if prof is None:
             self.trackers[bank_id].on_activate(row, now_ps)
         else:
@@ -154,7 +154,7 @@ class DramDevice:
         individual :meth:`activate` calls would have produced.
         """
         self.banks[bank_id].activate_many(rows)
-        prof = _profile._ACTIVE
+        prof = self._prof
         if prof is None:
             self.trackers[bank_id].on_activates(rows, times)
         else:

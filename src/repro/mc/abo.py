@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 from repro.params import AboTimings
 
 
@@ -78,7 +78,7 @@ class AboEngine:
     """Controller-side ABO protocol handling for one subchannel."""
 
     __slots__ = ("abo", "stalls", "alerts_asserted", "_acts_since_alert",
-                 "_last_stall_end")
+                 "_last_stall_end", "_reg")
 
     def __init__(self, abo: AboTimings = AboTimings()) -> None:
         self.abo = abo
@@ -86,7 +86,7 @@ class AboEngine:
         self.alerts_asserted = 0
         self._acts_since_alert = 1  # allow the very first ALERT
         self._last_stall_end = -(10 ** 18)
-        reg = _metrics._ACTIVE
+        reg = self._reg = _observation().metrics
         if reg is not None:
             # Pre-register so the stats table shows zeros for runs
             # that never ALERT (assert_alert keeps the rare-path
@@ -117,7 +117,7 @@ class AboEngine:
         self.alerts_asserted += 1
         self._acts_since_alert = 0
         self._last_stall_end = stall_end
-        reg = _metrics._ACTIVE
+        reg = self._reg
         if reg is not None:
             # ALERTs are rare (tens per billion ACTs); a registry lookup
             # here is cheaper than two prefetched slots on every engine.

@@ -33,10 +33,8 @@ from repro.mc.abo import AboEngine
 from repro.mc.drfm import DrfmEngine
 from repro.mc.rfm import RfmEngine
 from repro.mc.validator import CommandLog
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.obs.observation import current as _observation
 from repro.params import SystemConfig
-from repro import _profile
 
 _LATENCY_BOUNDS_PS = (25_000, 50_000, 75_000, 100_000, 150_000,
                       250_000, 500_000, 1_000_000)
@@ -70,7 +68,7 @@ class MemoryController:
                  "_tRCD", "_tRAS", "_tRP", "_tCAS", "_tREFI", "_tRFC",
                  "_stalls", "_rfm_enabled", "_alert_possible",
                  "subch", "_m_requests", "_m_row_hits",
-                 "_m_row_conflicts", "_m_latency", "_tr")
+                 "_m_row_conflicts", "_m_latency", "_tr", "_prof")
 
     def __init__(self, config: SystemConfig, device: DramDevice,
                  rfm_bat: Optional[int] = None,
@@ -109,10 +107,11 @@ class MemoryController:
         self._stalls = self.abo.stalls
         self._rfm_enabled = rfm_bat is not None
         self._alert_possible = bool(device._alertable)
-        # Observability: metric objects and the trace buffer are bound
-        # once here; the off path in serve_timing is one None check.
+        # Observability: metric objects, the trace buffer and the
+        # profile are bound once here; the off path is one None check.
         self.subch = subch
-        reg = _metrics._ACTIVE
+        observed = _observation()
+        reg = observed.metrics
         if reg is not None:
             self._m_requests = reg.counter("mc.requests")
             self._m_row_hits = reg.counter("mc.row_hits")
@@ -122,7 +121,8 @@ class MemoryController:
         else:
             self._m_requests = self._m_row_hits = None
             self._m_row_conflicts = self._m_latency = None
-        self._tr = _trace._ACTIVE
+        self._tr = observed.trace
+        self._prof = observed.profile
 
     # ------------------------------------------------------------------
     # Refresh pacing
@@ -131,7 +131,7 @@ class MemoryController:
         """Issue every REF whose nominal slot is at or before ``until``."""
         if until < self._next_ref:
             return
-        prof = _profile._ACTIVE
+        prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
         refs = 0
         adjust = self._stalls.adjust
@@ -342,7 +342,7 @@ class MemoryController:
 
     def _check_alert(self, now: int) -> None:
         """Run the ABO sequence if any tracker is requesting ALERT."""
-        prof = _profile._ACTIVE
+        prof = self._prof
         if prof is None:
             pending = self.device.alert_pending()
         else:

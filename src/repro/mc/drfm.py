@@ -24,7 +24,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.mint import MintSampler
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 
 
 class DrfmEngine:
@@ -49,6 +49,7 @@ class DrfmEngine:
         self._acts_since_drfm = 0
         self.drfms_issued = 0
         self.deferrals = 0
+        self._reg = _observation().metrics
 
     def on_activate(self, bank: int, row: int) -> bool:
         """Observe an ACT; returns True when a DRFM should issue now."""
@@ -63,7 +64,7 @@ class DrfmEngine:
         if len(self._samples) < self.min_samples:
             # DREAM: defer until the command can serve enough banks.
             self.deferrals += 1
-            reg = _metrics._ACTIVE
+            reg = self._reg
             if reg is not None:
                 reg.counter("drfm.deferrals").value += 1
             return False
@@ -80,7 +81,7 @@ class DrfmEngine:
         self._acts_since_drfm = 0
         if pairs:
             self.drfms_issued += 1
-            reg = _metrics._ACTIVE
+            reg = self._reg
             if reg is not None:
                 reg.counter("drfm.issued").value += 1
                 reg.counter("drfm.banks_served").value += len(pairs)

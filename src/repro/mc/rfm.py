@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 
 
 class RfmEngine:
@@ -32,7 +32,7 @@ class RfmEngine:
         self.rfm_duration = rfm_duration
         self._counters: List[int] = [0] * num_banks
         self.rfms_issued = 0
-        reg = _metrics._ACTIVE
+        reg = _observation().metrics
         self._m_issued = reg.counter("rfm.issued") \
             if reg is not None and bat is not None else None
 

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.mint import MintSampler
 from repro.mitigations.base import BankTracker, MitigationSlotSource
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 
 
 class MintTracker(BankTracker):
@@ -41,6 +41,7 @@ class MintTracker(BankTracker):
         self._pending: List[int] = []
         self._refs_seen = 0
         self.dropped_selections = 0
+        self._reg = _observation().metrics
 
     def _push(self, row: int) -> None:
         """Queue a selection, evicting the oldest when the DMQ is full.
@@ -52,7 +53,7 @@ class MintTracker(BankTracker):
         if len(self._pending) >= self.dmq_entries:
             self._pending.pop(0)
             self.dropped_selections += 1
-            reg = _metrics._ACTIVE
+            reg = self._reg
             if reg is not None:
                 reg.counter("mint.dmq_drops").value += 1
         self._pending.append(row)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.mitigations.base import BankTracker, MitigationSlotSource
-from repro.obs import metrics as _metrics
+from repro.obs.observation import current as _observation
 from repro.params import AboTimings
 
 
@@ -60,7 +60,7 @@ class PracTracker(BankTracker):
         # decremented on refresh/mitigation resets, so the slack derived
         # from it only ever *under*-estimates (which is the safe side).
         self._max_count = 0
-        reg = _metrics._ACTIVE
+        reg = _observation().metrics
         self._m_alert_rows = reg.counter("prac.alert_rows") \
             if reg is not None else None
 

@@ -1,11 +1,11 @@
-"""Opt-in kernel profiling: per-phase time and throughput counters.
+"""Kernel profiling: per-phase wall time and throughput counters.
 
-The simulation kernel is pure Python, so observability must be nearly
-free when off and cheap when on.  This module keeps one module-level
-:class:`KernelProfile` slot (``_ACTIVE``); the hot paths (the system
-run loop, the memory controller's refresh pump, the core's trace
-refill, the device's tracker dispatch) read that slot once per
-coarse-grained event and accumulate wall time into named phases:
+The simulation kernel is pure Python, so profiling must be nearly free
+when off and cheap when on.  A :class:`KernelProfile` is one of the
+sinks an :class:`~repro.obs.observation.Observation` can carry; the hot
+classes (the system, the memory controller, the core, the device)
+prefetch it at construction and accumulate wall time into named
+phases:
 
 ``trace``
     Generating workload trace chunks (synthetic RNG + tuple building).
@@ -19,30 +19,19 @@ coarse-grained event and accumulate wall time into named phases:
     Per-activation mitigation-tracker bookkeeping (a subset of
     ``serve``).
 
-Activation is explicit (:func:`profiling`) or environmental
-(``REPRO_PROFILE=1`` plus :func:`maybe_profile_from_env`); the CLI's
-``--profile`` flag routes through the former and prints
-:meth:`KernelProfile.report` after the command finishes.  Profiles
-merge across processes: a :class:`~repro.sim.session.SimSession`
-wraps each pool worker's jobs in a fresh profile, ships it back as a
-dict (:meth:`KernelProfile.to_dict`), and folds it into the parent's
-active profile (:meth:`KernelProfile.merge`), so ``--profile`` with
-``--jobs N`` reports whole-session numbers.
+Every field is additive, so profiles merge across processes in any
+order (:meth:`KernelProfile.merge`).  The CLI's ``--profile`` flag
+prints :meth:`KernelProfile.report` after the command finishes.
 
 Example::
 
-    from repro.sim.profile import profiling
-    with profiling() as prof:
+    from repro.obs import observing
+    with observing(profile=True) as ob:
         simulate("tc", baseline_setup(), SimScale(512))
-    print(prof.report())
+    print(ob.profile.report())
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Iterator, Optional
 
 PHASES = ("trace", "serve", "refresh", "trackers")
 
@@ -67,7 +56,7 @@ class KernelProfile:
         self.runs = 0
 
     # ------------------------------------------------------------------
-    # Accumulation (called from the hot paths, profile-active only)
+    # Accumulation (called from the hot paths when profiling)
     # ------------------------------------------------------------------
     def add_run(self, wall_s: float, window_ps: int, requests: int,
                 activations: int) -> None:
@@ -141,69 +130,3 @@ class KernelProfile:
             ratio = self.window_ps / 1e12 / wall
             lines.append(f"  {'sim/wall time ratio':<22} {ratio:9.2e}")
         return "\n".join(lines)
-
-
-_ACTIVE: Optional[KernelProfile] = None
-"""The installed profile, or ``None`` (the no-profiling fast path).
-
-Hot paths read this attribute directly -- one module-global load per
-coarse event -- instead of calling :func:`active`.
-"""
-
-
-def active() -> Optional[KernelProfile]:
-    """The currently-installed profile, if any."""
-    return _ACTIVE
-
-
-def enabled_by_env() -> bool:
-    """True when ``REPRO_PROFILE`` asks for profiling."""
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-def install(profile: Optional[KernelProfile]) -> Optional[KernelProfile]:
-    """Install ``profile`` as the active sink; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = profile
-    return previous
-
-
-@contextmanager
-def profiling(profile: Optional[KernelProfile] = None
-              ) -> Iterator[KernelProfile]:
-    """Scope a profile over a ``with`` block and yield it."""
-    prof = profile if profile is not None else KernelProfile()
-    previous = install(prof)
-    try:
-        yield prof
-    finally:
-        install(previous)
-
-
-@contextmanager
-def maybe_profile_from_env(force: bool = False) -> Iterator[
-        Optional[KernelProfile]]:
-    """Activate profiling when ``force`` or ``REPRO_PROFILE`` says so.
-
-    Yields the profile (or ``None`` when disabled) so callers can print
-    :meth:`KernelProfile.report` afterwards.
-    """
-    if not force and not enabled_by_env():
-        yield None
-        return
-    with profiling() as prof:
-        yield prof
-
-
-__all__ = [
-    "KernelProfile",
-    "PHASES",
-    "active",
-    "enabled_by_env",
-    "install",
-    "maybe_profile_from_env",
-    "perf_counter",
-    "profiling",
-]

@@ -6,7 +6,8 @@ Where :mod:`repro.obs.trace` records *simulated-time* kernel events
 per :meth:`~repro.sim.session.SimSession.run_many`, one child span per
 cell with its disposition (``cache-hit`` / ``computed`` / ``retried``
 / ``timed-out`` / ``failed``), a workers span over the fan-out phase,
-and per-job kernel spans from inside :func:`repro.sim.runner.simulate`.
+and per-job kernel and calibration spans from inside
+:func:`repro.sim.runner.simulate`.
 They answer the questions the kernel trace cannot: where did the batch
 spend its time, which cells were served from cache, which worker ran
 what, and how long jobs sat queued.
@@ -28,24 +29,20 @@ A span is a plain JSON-able 5-element list::
     A small JSON-able dict of attributes (disposition, attempts,
     pid, ...); exported as Chrome trace-event ``args``.
 
-Like the metrics registry and the event trace, one module-global slot
-(:data:`_ACTIVE`) keeps the off-path to a single ``None`` check, the
-recorder is bounded (``REPRO_SPAN_LIMIT``), and nested
-:func:`recording` scopes fold outward -- which is also how spans
-shipped back from pool workers (on :class:`~repro.cpu.system.SimResult
-`.spans) merge into the parent's recorder, exactly like metrics
+A recorder always travels with the event trace: an
+:class:`~repro.obs.observation.Observation` that traces also records
+spans.  The recorder is bounded (:data:`DEFAULT_LIMIT`), and spans
+recorded in pool workers travel back in the worker's observation
+payload and merge into the parent's recorder, exactly like metrics
 snapshots.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from contextlib import contextmanager
 from time import perf_counter, time
 from typing import Deque, Dict, Iterator, List, Optional
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 DEFAULT_LIMIT = 100_000
 """Default recorder capacity (spans)."""
@@ -63,6 +60,8 @@ SPAN_NAMES = {
                     "(session track)",
     "kernel:<backend>": "one simulate() kernel run, pid in meta "
                         "(worker track)",
+    "calibrate:<workload>": "one cold calibration of a workload's "
+                            "pacing, pid in meta (worker track)",
 }
 """The span taxonomy: name -> meaning (see docs/observability.md)."""
 
@@ -118,62 +117,3 @@ class SpanRecorder:
         """The recorded spans as a plain list (oldest first)."""
         return [[s[0], s[1], s[2], s[3], dict(s[4])]
                 for s in self.spans]
-
-
-_ACTIVE: Optional[SpanRecorder] = None
-"""The installed span recorder, or ``None`` (the spans-off path)."""
-
-
-def active() -> Optional[SpanRecorder]:
-    """The currently-installed span recorder, if any."""
-    return _ACTIVE
-
-
-def enabled_by_env() -> bool:
-    """True when ``REPRO_SPANS`` asks for span recording."""
-    return os.environ.get("REPRO_SPANS", "").strip().lower() in _TRUTHY
-
-
-def requested() -> bool:
-    """True when a recorder is installed or the environment asks."""
-    return _ACTIVE is not None or enabled_by_env()
-
-
-def limit_from_env() -> int:
-    """Recorder capacity: ``REPRO_SPAN_LIMIT`` or :data:`DEFAULT_LIMIT`."""
-    raw = os.environ.get("REPRO_SPAN_LIMIT", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_LIMIT
-    return value if value >= 1 else DEFAULT_LIMIT
-
-
-def install(recorder: Optional[SpanRecorder]
-            ) -> Optional[SpanRecorder]:
-    """Install ``recorder`` as the active sink; returns the previous."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    return previous
-
-
-@contextmanager
-def recording(recorder: Optional[SpanRecorder] = None,
-              limit: Optional[int] = None) -> Iterator[SpanRecorder]:
-    """Scope a span recorder over a ``with`` block and yield it.
-
-    On exit the previous recorder is restored and, if there was one,
-    the scoped recorder's spans are folded into it (nested collection
-    scopes aggregate outward, mirroring metrics and the event trace).
-    """
-    rec = recorder if recorder is not None else SpanRecorder(
-        limit if limit is not None else limit_from_env())
-    previous = install(rec)
-    try:
-        yield rec
-    finally:
-        install(previous)
-        if previous is not None:
-            previous.extend(rec.as_list())
-            previous.dropped += rec.dropped

@@ -18,22 +18,19 @@ An event is a plain 5-element list::
     ALERTs, REF); Perfetto renders each (subchannel, bank) pair as its
     own track.
 
-The buffer is a ``deque`` with a hard length cap (``REPRO_TRACE_LIMIT``
+The buffer is a ``deque`` with a hard length cap (``--trace-limit``
 or :data:`DEFAULT_LIMIT`): a long run keeps the *newest* events and
 counts what it dropped, so tracing can stay on for arbitrarily large
-windows without unbounded memory.  Like the metrics registry, one
-module-global slot (``_ACTIVE``) keeps the off-path to a single
-``None`` check, and hot classes prefetch the buffer at construction.
+windows without unbounded memory.  A buffer is one of the sinks an
+:class:`~repro.obs.observation.Observation` carries; hot classes
+prefetch it at construction, so the off path is a single ``None``
+check.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from contextlib import contextmanager
-from typing import Deque, Iterator, List, Optional
-
-_TRUTHY = ("1", "true", "yes", "on")
+from typing import Deque, List
 
 DEFAULT_LIMIT = 200_000
 """Default ring-buffer capacity (events)."""
@@ -96,61 +93,3 @@ class TraceBuffer:
     def as_list(self) -> List[List]:
         """The buffered events as a plain list (oldest first)."""
         return [list(event) for event in self.events]
-
-
-_ACTIVE: Optional[TraceBuffer] = None
-"""The installed trace buffer, or ``None`` (the tracing-off path)."""
-
-
-def active() -> Optional[TraceBuffer]:
-    """The currently-installed trace buffer, if any."""
-    return _ACTIVE
-
-
-def enabled_by_env() -> bool:
-    """True when ``REPRO_TRACE`` asks for event tracing."""
-    return os.environ.get("REPRO_TRACE", "").strip().lower() in _TRUTHY
-
-
-def requested() -> bool:
-    """True when a buffer is installed or the environment asks."""
-    return _ACTIVE is not None or enabled_by_env()
-
-
-def limit_from_env() -> int:
-    """Ring capacity: ``REPRO_TRACE_LIMIT`` or :data:`DEFAULT_LIMIT`."""
-    raw = os.environ.get("REPRO_TRACE_LIMIT", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_LIMIT
-    return value if value >= 1 else DEFAULT_LIMIT
-
-
-def install(buffer: Optional[TraceBuffer]) -> Optional[TraceBuffer]:
-    """Install ``buffer`` as the active sink; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = buffer
-    return previous
-
-
-@contextmanager
-def tracing(buffer: Optional[TraceBuffer] = None,
-            limit: Optional[int] = None) -> Iterator[TraceBuffer]:
-    """Scope a trace buffer over a ``with`` block and yield it.
-
-    On exit the previous buffer is restored and, if there was one, the
-    scoped buffer's events are folded into it (so nested collection
-    scopes aggregate outward, mirroring metrics).
-    """
-    buf = buffer if buffer is not None else TraceBuffer(
-        limit if limit is not None else limit_from_env())
-    previous = install(buf)
-    try:
-        yield buf
-    finally:
-        install(previous)
-        if previous is not None:
-            previous.extend(buf.as_list())
-            previous.dropped += buf.dropped

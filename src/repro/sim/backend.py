@@ -35,13 +35,12 @@ from time import perf_counter
 from typing import Dict, List, Optional, Protocol, Sequence, Union, \
     runtime_checkable
 
-from repro import _env, _profile
+from repro import _env
 from repro.cpu.system import MultiCoreSystem, SimResult
-from repro.obs import metrics as _obs_metrics
-from repro.obs import trace as _obs_trace
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshSlice
 from repro.mitigations.base import BankTracker, UNBOUNDED_SLACK
+from repro.obs.observation import current as _observation
 
 
 @runtime_checkable
@@ -106,11 +105,12 @@ class _BatchingDevice:
         # Observability prefetch (the usual one-None-check-when-off
         # pattern): flush-run lengths feed a histogram, and each flush
         # lands as a FLUSH window on the bank's kernel trace lane.
-        registry = _obs_metrics._ACTIVE
+        observed = _observation()
+        registry = observed.metrics
         self._flush_hist = registry.histogram(
             "backend.flush_run_len", FLUSH_RUN_BOUNDS) \
             if registry is not None else None
-        self._trace_buf = _obs_trace._ACTIVE
+        self._trace_buf = observed.trace
         # Plain-attribute reads MCs and experiments perform are served
         # directly from the real device's objects.
         self.banks = real.banks
@@ -278,7 +278,7 @@ class ArrayBackend:
         system object itself -- are indistinguishable from an event-
         backend run.
         """
-        prof = _profile._ACTIVE
+        prof = system.profile
         t0 = perf_counter() if prof is not None else 0.0
         proxies = [_BatchingDevice(device) for device in system.devices]
         for mc, proxy in zip(system.mcs, proxies):

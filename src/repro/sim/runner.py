@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 from repro import _env
-from repro import obs as _obs
 from repro.core.config import MirzaConfig
-from repro.obs import metrics as _metrics
-from repro.obs import spans as _spans
+from repro.obs import observation as _observation
+from repro.obs.spans import TRACK_WORKER
 from repro.sim import backend as _backend
 from repro.sim.backend import KernelBackend
 from repro.core.mirza import MirzaTracker
@@ -272,7 +271,12 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
     activations per bank per window are within 8% of the workload's
     published mean (cached per (workload, scale, seed, config)).  The
     whole procedure is deterministic, so worker processes converge on
-    exactly the calibration the parent would have computed."""
+    exactly the calibration the parent would have computed.
+
+    The probes are never observed: they run with every sink hidden, so
+    a cold and a warm calibration cache (a pool worker and a warm
+    parent) report the same metrics and profile.  A cold calibration
+    is visible as one ``calibrate:<workload>`` span when tracing."""
     spec = _resolve(workload)
     key = (spec.name, scale.time_scale, seed, config)
     synthetic = SyntheticWorkload(spec, config, scale, seed=seed)
@@ -281,6 +285,20 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
         _WORKLOAD_CACHE.move_to_end(key)
         synthetic.compute_per_miss_ps = cached
         return synthetic
+    with _observation.current().span(TRACK_WORKER,
+                                     f"calibrate:{spec.name}",
+                                     {"pid": os.getpid()}):
+        with _observation.suppressed():
+            _calibrate(synthetic, spec, scale, config)
+    _WORKLOAD_CACHE[key] = synthetic.compute_per_miss_ps
+    while len(_WORKLOAD_CACHE) > _workload_cache_cap():
+        _WORKLOAD_CACHE.popitem(last=False)
+    return synthetic
+
+
+def _calibrate(synthetic: SyntheticWorkload, spec: WorkloadSpec,
+               scale: SimScale, config: SystemConfig) -> None:
+    """Tune ``synthetic.compute_per_miss_ps`` with probe windows."""
     window = scale.scaled_trefw(config.timings)
     probe = max(config.timings.tREFI * 4, window // 8)
     target_acts = (scale.scale_count(spec.acts_per_bank_per_window)
@@ -303,10 +321,6 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
         synthetic.compute_per_miss_ps = max(
             250, int(synthetic.compute_per_miss_ps
                      + (wanted_inter - measured_inter)))
-    _WORKLOAD_CACHE[key] = synthetic.compute_per_miss_ps
-    while len(_WORKLOAD_CACHE) > _workload_cache_cap():
-        _WORKLOAD_CACHE.popitem(last=False)
-    return synthetic
 
 
 def simulate(workload: Union[str, WorkloadSpec],
@@ -331,23 +345,12 @@ def simulate(workload: Union[str, WorkloadSpec],
     ``event``).  Backends are bit-identical by contract, so the choice
     never changes the result -- only how fast it is produced.
 
-    When observability is requested (an installed registry/trace buffer
-    or the ``REPRO_METRICS`` / ``REPRO_TRACE`` knobs), collection is
-    scoped over system *construction and the run only* -- calibration
-    probes are excluded -- and the snapshot/events are attached to the
-    returned :class:`SimResult`.  Scoping after calibration is what
-    keeps snapshots identical between serial and process-pool execution:
-    a worker always calibrates fresh while a warm parent reuses the
-    cached workload, so probe traffic must never be counted.
+    The current observation (see :mod:`repro.obs.observation`)
+    collects over system construction and the run; calibration probes
+    are never counted (:func:`calibrated_workload`).
     """
     spec = _resolve(workload)
-    # Calibration must run with the sinks *uninstalled*, not merely
-    # outside the collecting scope in _run_kernel: probe systems would
-    # otherwise prefetch the caller's registry and count their traffic
-    # into it (only in-process -- pool workers calibrate with no
-    # sink), which would break the serial/parallel snapshot identity.
-    with _obs.suppressed():
-        synthetic = calibrated_workload(spec, scale, seed, config)
+    synthetic = calibrated_workload(spec, scale, seed, config)
     return simulate_source(synthetic, setup, scale, seed=seed,
                            config=config, backend=backend)
 
@@ -401,38 +404,23 @@ def _run_kernel(build: Callable[[], MultiCoreSystem], window: int,
                 ) -> SimResult:
     """Resolve the backend and run ``build()`` over ``window``.
 
-    The shared execution tail of every simulate entry point: when
-    observability is requested, collection is scoped over system
-    construction and the run only, and the snapshot/events/spans are
-    attached to the result.
+    The shared execution tail of every simulate entry point.  The run
+    gets its own nested observation, collecting what the caller's does
+    and folding into it on exit: each run then starts from fresh sinks,
+    exactly like a pool worker's, so gauges merge by maxima in both and
+    serial and pooled totals stay identical.
     """
     kernel = _backend.resolve_backend(backend)
-    collect_metrics = _obs.metrics_requested()
-    collect_trace = _obs.trace_requested()
-    collect_spans = _obs.spans_requested()
-    if not (collect_metrics or collect_trace or collect_spans):
-        result = kernel.run(build(), window)
-        result.backend = kernel.name
-        return result
-    with _obs.collecting(metrics=collect_metrics,
-                         trace=collect_trace,
-                         spans=collect_spans) as col:
-        if col.spans is not None:
-            with col.spans.span(_spans.TRACK_WORKER,
-                                f"kernel:{kernel.name}",
-                                {"pid": os.getpid()}) as attrs:
-                result = kernel.run(build(), window)
-                attrs["requests"] = result.total_requests
-                attrs["activations"] = result.total_activations
-        else:
+    request = _observation.current().request()
+    with _observation.observing(**request) as observed:
+        with observed.span(TRACK_WORKER, f"kernel:{kernel.name}",
+                           {"pid": os.getpid()}) as attrs:
             result = kernel.run(build(), window)
-        reg = _metrics._ACTIVE
-        if reg is not None:
-            reg.counter(f"sim.backend.{kernel.name}").value += 1
+            attrs["requests"] = result.total_requests
+            attrs["activations"] = result.total_activations
+        if observed.metrics is not None:
+            observed.metrics.counter(f"sim.backend.{kernel.name}").inc()
     result.backend = kernel.name
-    result.metrics = col.metrics_snapshot()
-    result.trace_events = col.trace_events()
-    result.spans = col.spans_list()
     return result
 
 
@@ -452,8 +440,7 @@ def synthesize_trace(workload: Union[str, WorkloadSpec],
     """
     from repro.cpu.trace import take
     spec = _resolve(workload)
-    with _obs.suppressed():
-        synthetic = calibrated_workload(spec, scale, seed, config)
+    synthetic = calibrated_workload(spec, scale, seed, config)
     if entries is None:
         # Expected in-window misses across the machine: the per-bank
         # activation budget times banks, deflated by ACTs-per-miss.
@@ -509,11 +496,10 @@ def simulate_tenants(scenario, setup: MitigationSetup,
     slowdown, and escape exposure read straight off it.
     """
     from repro.workloads.tenants import TenantWorkload
-    with _obs.suppressed():
-        sources = {
-            tenant.name: calibrated_workload(tenant.workload, scale,
-                                             seed, config)
-            for tenant in scenario.tenants if tenant.workload}
+    sources = {
+        tenant.name: calibrated_workload(tenant.workload, scale, seed,
+                                         config)
+        for tenant in scenario.tenants if tenant.workload}
     workload = TenantWorkload(scenario, config, scale, seed=seed,
                               sources=sources)
     return simulate_source(

@@ -72,15 +72,13 @@ from typing import (
     Union,
 )
 
-from repro import _profile
 from repro._env import env_float, env_int
 from repro.cpu.system import SimResult
 from repro.sim import backend as _backend_mod
-from repro.obs import metrics as _obs_metrics
-from repro.obs import spans as _obs_spans
-from repro.obs import trace as _obs_trace
+from repro.obs import observation as _observation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressUpdate
+from repro.obs.spans import TRACK_SESSION, SpanRecorder, now_us
 from repro.params import (
     AboTimings,
     DramGeometry,
@@ -91,19 +89,18 @@ from repro.params import (
 )
 from repro.workloads.specs import WorkloadSpec, workload_by_name
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 """Bump when job hashing or result serialization changes shape.
 
-Format 2: :class:`SimResult` grew optional ``metrics`` and
-``trace_events`` fields (PR 3's observability subsystem).
-Format 3: :class:`SimResult` grew the optional ``spans`` field
-(session-level span tracing).
 Format 4: :class:`SimResult` grew optional ``tenants`` and
 ``unmitigated_by_bank`` fields; :class:`TenantJob` and
 :class:`TraceReplayJob` joined the cacheable job types.
 :class:`repro.security.fuzz.FuzzJob` later joined the cacheable job
 types under the same format -- a new job class mints new tokens, so
 no bump was needed.
+Format 5: :class:`SimResult` lost its ``metrics``, ``trace_events``
+and ``spans`` fields.  Observations describe a computation and never
+ride inside a cached result (see :mod:`repro.obs.observation`).
 """
 
 _MISS = object()
@@ -263,25 +260,6 @@ class BatchStats:
         budget = self.workers * self.wall_seconds
         return min(1.0, self.busy_seconds / budget) if budget > 0 \
             else 0.0
-
-
-def _observability_satisfied(result: Any) -> bool:
-    """True unless ``result`` lacks observability data being requested.
-
-    A :class:`SimResult` cached before metrics/tracing were turned on
-    carries ``None`` in those fields; serving it would silently drop
-    the requested data, so the lookup treats it as a miss and the job
-    recomputes (overwriting the cache entry with a complete one).
-    """
-    if not isinstance(result, SimResult):
-        return True
-    if _obs_metrics.requested() and result.metrics is None:
-        return False
-    if _obs_trace.requested() and result.trace_events is None:
-        return False
-    if _obs_spans.requested() and result.spans is None:
-        return False
-    return True
 
 
 class Undescribable(TypeError):
@@ -526,27 +504,10 @@ _FAULT_ENV_VARS = ("REPRO_FAULT_RATE", "REPRO_FAULT_SEED")
 
 
 def _pool_env_overrides() -> Dict[str, str]:
-    """Env vars that carry the parent's observability and
-    fault-injection requests to workers.
-
-    A parent that enabled collection *programmatically* (an installed
-    registry/buffer rather than an env knob) would otherwise fan out to
-    workers that collect nothing, and a spawn-start pool would miss
-    env vars set after interpreter start.
-    """
+    """Env vars that carry the parent's fault-injection and backend
+    choices to workers (a spawn-start pool would miss env vars set
+    after interpreter start)."""
     env: Dict[str, str] = {}
-    if _obs_metrics.requested():
-        env["REPRO_METRICS"] = "1"
-    if _obs_trace.requested():
-        env["REPRO_TRACE"] = "1"
-        buffer = _obs_trace._ACTIVE
-        if buffer is not None:
-            env["REPRO_TRACE_LIMIT"] = str(buffer.limit)
-    if _obs_spans.requested():
-        env["REPRO_SPANS"] = "1"
-        recorder = _obs_spans._ACTIVE
-        if recorder is not None:
-            env["REPRO_SPAN_LIMIT"] = str(recorder.limit)
     for var in _FAULT_ENV_VARS:
         value = os.environ.get(var)
         if value:
@@ -561,31 +522,29 @@ def _pool_env_overrides() -> Dict[str, str]:
     return env
 
 
-def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int]
-                 ) -> Tuple[Any, Optional[dict], float]:
-    """Pool entry point carrying observability/profiling context.
+def _execute_job(payload: Tuple[Any, Dict[str, str], Dict[str, Any],
+                                int]) -> Tuple[Any, Dict[str, Any], float]:
+    """Pool entry point carrying the parent's observation request.
 
-    ``payload`` is ``(job, env overrides, want_profile, attempt)``;
-    the attempt number feeds the deterministic fault-injection hook.
-    Returns ``(result, profile_dict, exec_seconds)`` where
-    ``profile_dict`` is the worker-side
-    :class:`~repro._profile.KernelProfile` in dict form (``None``
-    unless the parent asked for profiling) and ``exec_seconds`` is the
-    job's wall-clock execution time in this worker (it feeds the
-    parent's pool-utilization gauge -- the parent only observes
-    queue + execution time together).
+    ``payload`` is ``(job, env overrides, request, attempt)``: the
+    request is the parent's :meth:`~repro.obs.observation.Observation
+    .request`, and the attempt number feeds the deterministic
+    fault-injection hook.  Returns ``(result, observation payload,
+    exec_seconds)``; ``exec_seconds`` is the job's wall-clock execution
+    time in this worker (it feeds the parent's pool-utilization gauge
+    -- the parent only observes queue + execution time together).
     """
-    job, env, want_profile, attempt = payload
+    job, env, request, attempt = payload
     for key, value in env.items():
         os.environ[key] = value
     _maybe_inject_fault(job, attempt)
     t0 = perf_counter()
-    if not want_profile:
+    # A forked worker inherits the parent's observation; hide it so
+    # the job's observation never folds into that stale copy.
+    with _observation.suppressed(), \
+            _observation.observing(**request) as observed:
         result = job.execute()
-        return result, None, perf_counter() - t0
-    with _profile.profiling() as prof:
-        result = job.execute()
-    return result, prof.to_dict(), perf_counter() - t0
+    return result, observed.payload(), perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +591,7 @@ class _BatchMonitor:
                  "cache_hits", "failed", "busy_s", "pool_rebuilds",
                  "start_us", "_t0", "_starts", "_queue_hist")
 
-    def __init__(self, recorder: Optional[_obs_spans.SpanRecorder],
+    def __init__(self, recorder: Optional[SpanRecorder],
                  progress: Optional[Callable[[ProgressUpdate], None]],
                  registry: MetricsRegistry, tally: _Tally,
                  total: int) -> None:
@@ -645,7 +604,7 @@ class _BatchMonitor:
         self.failed = 0
         self.busy_s = 0.0
         self.pool_rebuilds = 0
-        self.start_us = _obs_spans.now_us()
+        self.start_us = now_us()
         self._t0 = perf_counter()
         self._starts: Dict[str, Tuple[float, float]] = {}
         self._queue_hist = registry.histogram("session.queue_depth",
@@ -659,7 +618,7 @@ class _BatchMonitor:
         """Mark a cell's lifetime start (first submission only, so a
         retry or a pool rebuild never resets the span)."""
         if token is not None and token not in self._starts:
-            self._starts[token] = (_obs_spans.now_us(), perf_counter())
+            self._starts[token] = (now_us(), perf_counter())
 
     def cell_done(self, token: Optional[str], job: Any,
                   disposition: str, attempts: int,
@@ -682,15 +641,14 @@ class _BatchMonitor:
                 # Cache hits and untokened jobs have no tracked start;
                 # their span is the execution time ending now.
                 dur_us = exec_s * 1e6
-                start_us = _obs_spans.now_us() - dur_us
+                start_us = now_us() - dur_us
             meta: Dict[str, Any] = {"disposition": disposition,
                                     "attempts": attempts}
             if token is not None:
                 meta["token"] = token[:12]
             if exec_s:
                 meta["exec_ms"] = round(exec_s * 1e3, 3)
-            self.recorder.add(_obs_spans.TRACK_SESSION,
-                              f"cell:{job_label(job)}",
+            self.recorder.add(TRACK_SESSION, f"cell:{job_label(job)}",
                               start_us, dur_us, meta)
         if self.progress is not None:
             self.progress(ProgressUpdate(
@@ -705,8 +663,7 @@ class _BatchMonitor:
         if self.recorder is None:
             yield
             return
-        with self.recorder.span(_obs_spans.TRACK_SESSION, name,
-                                meta) as attrs:
+        with self.recorder.span(TRACK_SESSION, name, meta) as attrs:
             yield
             attrs["pool_rebuilds"] = self.pool_rebuilds
 
@@ -715,7 +672,7 @@ class _BatchMonitor:
         if self.recorder is None:
             return
         self.recorder.add(
-            _obs_spans.TRACK_SESSION, "run_many", self.start_us,
+            TRACK_SESSION, "run_many", self.start_us,
             self.elapsed_s * 1e6,
             {"submitted": batch.submitted, "unique": batch.unique,
              "cache_hits": batch.cache_hits,
@@ -803,10 +760,10 @@ class SimSession:
         self.last_batch: Optional[BatchStats] = None
         self.obs = MetricsRegistry()
         """Session-local batch metrics (cache/pool gauges, queue-depth
-        histogram).  Separate from the scoped ``repro.obs`` registry on
+        histogram).  Separate from the observation's registry on
         purpose: wall-clock-dependent gauges like pool utilization
-        would break the serial-vs-pool snapshot identity the scoped
-        registry guarantees.  Read it via :meth:`obs_snapshot`."""
+        would break the serial-vs-pool snapshot identity the
+        observation guarantees.  Read it via :meth:`obs_snapshot`."""
 
     # -- public API ----------------------------------------------------
     def run(self, job: Any) -> Any:
@@ -869,7 +826,8 @@ class SimSession:
         # submissions: distinct cache-hit tokens + unique pending
         # tokens + untokened jobs.
         monitor = _BatchMonitor(
-            recorder=_obs_spans.active(), progress=self.progress,
+            recorder=_observation.current().spans,
+            progress=self.progress,
             registry=self.obs, tally=tally,
             total=len(hit_jobs) + len(unique) + len(untokened))
         for token, job in hit_jobs.items():
@@ -1011,7 +969,7 @@ class SimSession:
                           timed_out=timed_out)
 
     def _complete(self, token: str, job: Any, result: Any,
-                  prof_dict: Optional[dict], tally: _Tally,
+                  observed: Dict[str, Any], tally: _Tally,
                   monitor: _BatchMonitor, exec_s: float,
                   attempts: int) -> None:
         """Fold one finished pool job into the parent, cache included.
@@ -1020,13 +978,11 @@ class SimSession:
         so a batch killed halfway resumes from cache on rerun.
         ``attempts`` counts every execution including the successful
         one; more than one means the cell's disposition is ``retried``.
+        ``observed`` is the worker's observation payload; folding it
+        into the current observation makes pooled runs aggregate
+        exactly like serial in-process ones.
         """
-        if prof_dict is not None and _profile._ACTIVE is not None:
-            _profile._ACTIVE.merge(prof_dict)
-        # A worker's collection scope merged into *its* process's
-        # sinks; fold the shipped snapshot/events into the parent's so
-        # pooled runs aggregate exactly like serial in-process ones.
-        self._absorb_observability(result)
+        _observation.current().merge(observed)
         self._store(token, type(job), result)
         tally.computed += 1
         monitor.cell_done(token, job,
@@ -1110,7 +1066,7 @@ class SimSession:
         execution of whatever is left.
         """
         env = _pool_env_overrides()
-        want_profile = _profile._ACTIVE is not None
+        request = _observation.current().request()
         pending: "OrderedDict[str, Any]" = OrderedDict(unique)
         attempts: Dict[str, int] = {token: 0 for token, _ in unique}
         stalls: Dict[str, int] = {}
@@ -1124,7 +1080,7 @@ class SimSession:
                 monitor.job_started(token)
                 return pool.submit(
                     _execute_job,
-                    (job, env, want_profile, attempts[token]))
+                    (job, env, request, attempts[token]))
 
             try:
                 queue = deque(
@@ -1137,7 +1093,7 @@ class SimSession:
                     token, future = queue.popleft()
                     job = pending[token]
                     try:
-                        result, prof_dict, exec_s = future.result(
+                        result, observed, exec_s = future.result(
                             timeout=timeout)
                     except FuturesTimeoutError:
                         if future.cancel():
@@ -1185,7 +1141,7 @@ class SimSession:
                                 abandon_pool = True
                                 break
                         continue
-                    self._complete(token, job, result, prof_dict,
+                    self._complete(token, job, result, observed,
                                    tally, monitor, exec_s,
                                    attempts[token] + 1)
                     del pending[token]
@@ -1196,14 +1152,14 @@ class SimSession:
                         if token not in pending or not future.done():
                             continue
                         try:
-                            result, prof_dict, exec_s = \
+                            result, observed, exec_s = \
                                 future.result(timeout=0)
                         except (KeyboardInterrupt, SystemExit):
                             raise
                         except BaseException:  # noqa: BLE001
                             continue  # handled on the next pool
                         self._complete(token, pending[token], result,
-                                       prof_dict, tally, monitor,
+                                       observed, tally, monitor,
                                        exec_s, attempts[token] + 1)
                         del pending[token]
             finally:
@@ -1225,8 +1181,8 @@ class SimSession:
                     return
 
     def _publish_failure_metrics(self, batch: BatchStats) -> None:
-        """Count batch failures into the active metrics registry."""
-        registry = _obs_metrics._ACTIVE
+        """Count batch failures into the observed metrics registry."""
+        registry = _observation.current().metrics
         if registry is None:
             return
         if batch.failed:
@@ -1240,10 +1196,10 @@ class SimSession:
     def _publish_batch_metrics(self, batch: BatchStats) -> None:
         """Publish cache/pool gauges into the *session-local* registry.
 
-        These land in :attr:`obs`, never the scoped ``repro.obs``
-        registry, because hit rate and utilization depend on cache
-        state and wall clock -- folding them into the scoped registry
-        would break the serial-vs-pool snapshot identity guarantee.
+        These land in :attr:`obs`, never the observation's registry,
+        because hit rate and utilization depend on cache state and
+        wall clock -- folding them into the observation would break
+        the serial-vs-pool snapshot identity guarantee.
         """
         registry = self.obs
         registry.counter("session.jobs_submitted").inc(batch.submitted)
@@ -1301,8 +1257,6 @@ class SimSession:
         """Memory then disk lookup; returns ``_MISS`` when absent."""
         if token in self._memory:
             result = self._memory[token]
-            if not _observability_satisfied(result):
-                return _MISS  # cached without the requested metrics
             self.stats["memory_hits"] += 1
             return result
         if self.disk_cache and job_type in _CODECS:
@@ -1312,27 +1266,10 @@ class SimSession:
                     result = _CODECS[job_type][1](payload)
                 except (TypeError, ValueError, KeyError):
                     return _MISS  # stale/corrupt entry: recompute
-                if not _observability_satisfied(result):
-                    return _MISS
                 self.stats["disk_hits"] += 1
                 self._memory[token] = result
                 return result
         return _MISS
-
-    @staticmethod
-    def _absorb_observability(result: Any) -> None:
-        """Fold a pool result's snapshot/events into the parent sinks."""
-        if not isinstance(result, SimResult):
-            return
-        registry = _obs_metrics._ACTIVE
-        if registry is not None and result.metrics:
-            registry.merge_snapshot(result.metrics)
-        buffer = _obs_trace._ACTIVE
-        if buffer is not None and result.trace_events:
-            buffer.extend(result.trace_events)
-        recorder = _obs_spans._ACTIVE
-        if recorder is not None and result.spans:
-            recorder.extend(result.spans)
 
     def _store(self, token: str, job_type: type, result: Any) -> None:
         """Memoise a freshly-computed result (and persist if enabled)."""

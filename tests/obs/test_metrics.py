@@ -7,11 +7,15 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    collecting,
-    install,
     merge_snapshots,
     metric_key,
     split_key,
+)
+from repro.obs.observation import (
+    Observation,
+    current,
+    observing,
+    suppressed,
 )
 
 
@@ -137,43 +141,37 @@ class TestRegistry:
 
 class TestCollectingScope:
     def test_nested_scopes_merge_outward(self):
-        with collecting() as outer:
-            with collecting() as inner:
-                inner.counter("n").inc(2)
-            outer.counter("n").inc(1)
-        assert outer.snapshot()["n"]["value"] == 3
+        with observing(metrics=True) as outer:
+            with observing(metrics=True) as inner:
+                inner.metrics.counter("n").inc(2)
+            outer.metrics.counter("n").inc(1)
+        assert outer.metrics.snapshot()["n"]["value"] == 3
 
     def test_install_restored_after_scope(self):
-        from repro.obs import metrics as mod
-        sentinel = MetricsRegistry()
-        previous = install(sentinel)
-        try:
-            with collecting():
-                assert mod._ACTIVE is not sentinel
-            assert mod._ACTIVE is sentinel
-        finally:
-            install(previous)
+        previous = current()
+        with observing(metrics=True) as outer:
+            with observing(metrics=True) as inner:
+                assert current() is inner
+            assert current() is outer
+        assert current() is previous
 
     def test_env_knob(self, monkeypatch):
-        from repro.obs import metrics as mod
         monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert not mod.enabled_by_env()
+        assert Observation.from_env().metrics is None
+        assert Observation.from_env(metrics=True).metrics is not None
         monkeypatch.setenv("REPRO_METRICS", "1")
-        assert mod.enabled_by_env()
-        assert mod.requested()
+        assert Observation.from_env().metrics is not None
         monkeypatch.setenv("REPRO_METRICS", "0")
-        assert not mod.enabled_by_env()
+        assert Observation.from_env().metrics is None
 
 
 class TestSuppressed:
     def test_suppressed_hides_installed_sinks(self):
-        from repro import obs
-        from repro.obs import metrics as mmod
-        from repro.obs import trace as tmod
-        with obs.collecting(metrics=True, trace=True):
-            assert mmod._ACTIVE is not None
-            with obs.suppressed():
-                assert mmod._ACTIVE is None
-                assert tmod._ACTIVE is None
-            assert mmod._ACTIVE is not None
-            assert tmod._ACTIVE is not None
+        with observing(metrics=True, trace=True, profile=True) as outer:
+            with suppressed():
+                hidden = current()
+                assert hidden.metrics is None
+                assert hidden.trace is None
+                assert hidden.spans is None
+                assert hidden.profile is None
+            assert current() is outer

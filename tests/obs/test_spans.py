@@ -19,7 +19,8 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.spans import TRACK_WORKER, SpanRecorder, recording
+from repro.obs.observation import current, observing
+from repro.obs.spans import DEFAULT_LIMIT, TRACK_WORKER, SpanRecorder
 from repro.params import SimScale
 from repro.sim.registry import setup_by_name
 from repro.sim.session import SimJob, SimSession
@@ -76,22 +77,19 @@ class TestSpanRecorder:
         assert [s[1] for s in rec.as_list()] == ["workers"]
 
     def test_nested_recording_scopes_fold_outward(self):
-        with recording() as outer:
-            with recording() as inner:
-                inner.add("session", "child", 1.0, 2.0)
-        assert [s[1] for s in outer.as_list()] == ["child"]
+        with observing(trace=True) as outer:
+            with observing(trace=True) as inner:
+                inner.spans.add("session", "child", 1.0, 2.0)
+        assert [s[1] for s in outer.spans.as_list()] == ["child"]
 
-    def test_env_knobs(self, monkeypatch):
-        from repro.obs import spans as spans_mod
-        monkeypatch.delenv("REPRO_SPANS", raising=False)
-        assert not spans_mod.requested()
+    def test_spans_follow_the_trace_at_a_fixed_cap(self, monkeypatch):
+        # The span recorder has no knob of its own: it is on exactly
+        # when the event trace is, capped at DEFAULT_LIMIT.
         monkeypatch.setenv("REPRO_SPANS", "1")
-        assert spans_mod.enabled_by_env()
-        assert spans_mod.requested()
         monkeypatch.setenv("REPRO_SPAN_LIMIT", "123")
-        assert spans_mod.limit_from_env() == 123
-        monkeypatch.setenv("REPRO_SPAN_LIMIT", "bogus")
-        assert spans_mod.limit_from_env() == spans_mod.DEFAULT_LIMIT
+        assert observing(metrics=True).spans is None
+        recorder = observing(trace=True, trace_limit=5).spans
+        assert recorder.limit == DEFAULT_LIMIT
 
 
 class TestSpanExport:
@@ -170,10 +168,10 @@ class TestSessionSpans:
     def _run(self, workers, session=None):
         if session is None:
             session = SimSession(disk_cache=False, max_workers=workers)
-        with recording() as rec:
+        with observing(trace=True) as observed:
             results = session.run_many(_jobs(),
                                        max_workers=workers)
-        return rec, results
+        return observed.spans, results
 
     def test_every_cell_exactly_once_with_disposition(self):
         rec, results = self._run(1)
@@ -188,12 +186,14 @@ class TestSessionSpans:
     def test_serial_and_pool_span_populations_identical(self):
         rec1, res1 = self._run(1)
         rec2, res2 = self._run(2)
-        names1 = sorted(s[1] for s in rec1.as_list())
-        names2 = sorted(s[1] for s in rec2.as_list())
+        # calibrate: spans mark cold calibration caches, which depend
+        # on what each process ran before, not on the batch.
+        names1 = sorted(s[1] for s in rec1.as_list()
+                        if not s[1].startswith("calibrate:"))
+        names2 = sorted(s[1] for s in rec2.as_list()
+                        if not s[1].startswith("calibrate:"))
         assert names1 == names2
         assert sorted(_cells(rec1)) == sorted(_cells(rec2))
-        assert [r.spans is not None for r in res1] == \
-            [r.spans is not None for r in res2]
 
     def test_second_batch_is_all_cache_hits(self):
         session = SimSession(disk_cache=False, max_workers=1)
@@ -219,8 +219,9 @@ class TestSessionSpans:
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
         session = SimSession(disk_cache=False, max_workers=1,
                              max_retries=1)
-        with recording() as rec:
+        with observing(trace=True) as observed:
             session.run_many([_jobs()[0]])
+        rec = observed.spans
         (name, disposition), = _cells(rec)
         assert disposition == "retried"
         cell = [s for s in rec.as_list()
@@ -231,9 +232,9 @@ class TestSessionSpans:
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
         session = SimSession(disk_cache=False, max_workers=1,
                              max_retries=0, failure_policy="keep_going")
-        with recording() as rec:
+        with observing(trace=True) as observed:
             session.run_many([_jobs()[0]])
-        (_, disposition), = _cells(rec)
+        (_, disposition), = _cells(observed.spans)
         assert disposition == "failed"
 
     def test_untokened_cell_is_spanned(self):
@@ -246,22 +247,44 @@ class TestSessionSpans:
                 seed, subch, bank))
         job = SimJob("tc", opaque, SCALE)
         session = SimSession(disk_cache=False, max_workers=1)
-        with recording() as rec:
+        with observing(trace=True) as observed:
             session.run_many([job])
-        cells = _cells(rec)
+        cells = _cells(observed.spans)
         assert len(cells) == 1
         assert cells[0][1] == "computed"
 
-    def test_results_carry_spans_when_requested(self):
-        _, results = self._run(1)
-        for result in results:
-            assert any(s[1] == "kernel:event" for s in result.spans)
+    def test_kernel_spans_land_in_the_observation(self):
+        rec, results = self._run(1)
+        kernels = [s for s in rec.as_list() if s[1] == "kernel:event"]
+        assert len(kernels) == len(results)
+        assert all(r.spans is None for r in results)
 
     def test_no_spans_when_not_requested(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPANS", raising=False)
+        monkeypatch.setenv("REPRO_SPANS", "1")
         session = SimSession(disk_cache=False, max_workers=1)
         result = session.run_many([_jobs()[0]])[0]
+        assert current().spans is None
         assert result.spans is None
+
+    def test_cold_calibration_is_one_span_warm_none(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.sim import runner
+        from repro.sim.runner import simulate
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        setup = setup_by_name("baseline", SCALE)
+
+        def calibrations():
+            with observing(trace=True) as observed:
+                simulate("tc", setup, SCALE)
+            return [s for s in observed.spans.as_list()
+                    if s[1].startswith("calibrate:")]
+
+        cold = calibrations()
+        assert [(s[0], s[1]) for s in cold] == [
+            (TRACK_WORKER, "calibrate:tc")]
+        assert cold[0][4]["pid"] > 0
+        assert calibrations() == []
 
     def test_batch_gauges_in_session_registry(self):
         session = SimSession(disk_cache=False, max_workers=1)

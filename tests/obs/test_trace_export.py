@@ -13,7 +13,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.trace import CHANNEL_LANE, TraceBuffer, tracing
+from repro.obs.observation import observing
+from repro.obs.trace import CHANNEL_LANE, TraceBuffer
 
 
 class TestTraceBuffer:
@@ -47,10 +48,12 @@ class TestTraceBuffer:
             TraceBuffer(limit=0)
 
     def test_nested_tracing_scopes_merge_outward(self):
-        with tracing() as outer:
-            with tracing() as inner:
-                inner.instant(5, "ACT")
-        assert outer.as_list() == [[5, "I", "ACT", 0, CHANNEL_LANE]]
+        with observing(trace=True) as outer:
+            with observing(trace=True, trace_limit=1) as inner:
+                inner.trace.instant(4, "ACT")
+                inner.trace.instant(5, "ACT")
+        assert outer.trace.as_list() == [[5, "I", "ACT", 0, CHANNEL_LANE]]
+        assert outer.trace.dropped == 1
 
 
 class TestJsonlRoundTrip:

@@ -105,13 +105,12 @@ def test_simulate_stamps_backend_metadata(monkeypatch):
     assert result.backend == "event"
 
 
-def test_backend_recorded_in_metrics_snapshot(monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS", "1")
-    result = simulate("tc", baseline_setup(), SimScale(8192), seed=SEED,
-                      backend="array")
-    assert result.metrics is not None
-    assert any(key.startswith("sim.backend.array")
-               for key in result.metrics)
+def test_backend_recorded_in_metrics_snapshot():
+    from repro.obs import observing
+    with observing(metrics=True) as observed:
+        simulate("tc", baseline_setup(), SimScale(8192), seed=SEED,
+                 backend="array")
+    assert observed.metrics.snapshot()["sim.backend.array"]["value"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -391,16 +391,12 @@ class TestEnvKnobs:
 
 class TestObservabilityCounters:
     def test_failures_count_into_the_metrics_registry(self):
-        from repro.obs import metrics as obs_metrics
-        registry = obs_metrics.MetricsRegistry()
-        previous = obs_metrics.install(registry)
-        try:
+        from repro.obs import observing
+        with observing(metrics=True) as observed:
             session = SimSession(disk_cache=False)
             session.run_many([OkJob(1), BoomJob(2)],
                              policy="keep_going", max_retries=1)
-        finally:
-            obs_metrics.install(previous)
-        snapshot = registry.snapshot()
+        snapshot = observed.metrics.snapshot()
         assert snapshot["session.jobs_failed"]["value"] == 1
         assert snapshot["session.jobs_retried"]["value"] == 1
         assert "session.jobs_timed_out" not in snapshot

@@ -1,16 +1,19 @@
 """Integration tests: observability through simulate/session/CLI.
 
-Covers the guarantees docs/observability.md promises: snapshots attach
-to results, serial and process-pool runs produce identical metrics,
-worker profiles merge into the parent, and the CLI emits valid
-Perfetto traces.
+Covers the guarantees docs/observability.md promises: simulations
+collect into the current observation, serial and process-pool runs
+produce identical metrics, events and profiles, observing never
+changes results or cache hits, and the CLI emits valid Perfetto
+traces.
 """
 
+import dataclasses
 import json
+import re
 
 import pytest
 
-from repro import obs
+from repro.obs import Observation, current, observing
 from repro.obs.export import validate_chrome_trace
 from repro.obs.metrics import merge_snapshots
 from repro.params import SimScale
@@ -29,27 +32,34 @@ def _jobs():
 class TestSimulateAttachesObservability:
     def test_off_by_default(self):
         result = simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        assert result.metrics is None
-        assert result.trace_events is None
+        assert not current().enabled
+        fields = {f.name for f in dataclasses.fields(result)}
+        assert not fields & {"metrics", "trace_events", "spans"}
 
     def test_metrics_and_trace_attach(self):
-        with obs.collecting(metrics=True, trace=True):
+        with observing(metrics=True, trace=True) as observed:
             result = simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        assert result.metrics["mc.requests"]["value"] > 0
-        assert result.metrics["mc.requests"]["value"] == \
-            result.total_requests
-        assert any(e[2] == "ACT" for e in result.trace_events)
+        snapshot = observed.metrics.snapshot()
+        assert snapshot["mc.requests"]["value"] > 0
+        assert snapshot["mc.requests"]["value"] == result.total_requests
+        assert any(e[2] == "ACT" for e in observed.trace.as_list())
 
     def test_env_knob_attaches_metrics(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "1")
-        result = simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        assert result.metrics is not None
-        assert result.trace_events is None
+        # Only Observation.from_env reads the knob; the library never
+        # turns collection on by itself.
+        simulate("tc", mirza_setup(1000, SCALE), SCALE)
+        assert not current().enabled
+        with Observation.from_env() as observed:
+            simulate("tc", mirza_setup(1000, SCALE), SCALE)
+        assert observed.metrics.snapshot()["mc.requests"]["value"] > 0
+        assert observed.trace is None
 
     def test_bank_acts_sum_to_total_activations(self):
-        with obs.collecting(metrics=True):
+        with observing(metrics=True) as observed:
             result = simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        acts = sum(v["value"] for k, v in result.metrics.items()
+        acts = sum(v["value"]
+                   for k, v in observed.metrics.snapshot().items()
                    if k.startswith("dram.bank.acts{"))
         assert acts == result.total_activations
 
@@ -57,69 +67,92 @@ class TestSimulateAttachesObservability:
         # Two back-to-back collected runs must report identical
         # snapshots even though only the first calibrates (the probe
         # binds to no sink); a leak would skew whichever run pays it.
-        with obs.collecting(metrics=True) as a:
+        with observing(metrics=True) as a:
             simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        with obs.collecting(metrics=True) as b:
+        with observing(metrics=True) as b:
             simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        assert a.metrics_snapshot() == b.metrics_snapshot()
+        assert a.metrics.snapshot() == b.metrics.snapshot()
 
     def test_trace_is_perfetto_valid(self):
-        with obs.collecting(metrics=False, trace=True) as col:
+        with observing(trace=True) as observed:
             simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        events = col.trace_events()
+        events = observed.trace.as_list()
         assert events
         from repro.obs.export import chrome_trace_events
         assert validate_chrome_trace(chrome_trace_events(events)) is None
 
 
+PROFILE_COUNTERS = ("requests", "activations", "refs", "runs")
+"""The profile fields that are simulated counts, not wall times."""
+
+
 class TestSessionAggregation:
     def _run(self, workers):
-        with obs.collecting(metrics=True, trace=True) as col:
+        with observing(metrics=True, trace=True, profile=True) as ob:
             session = SimSession(disk_cache=False, max_workers=workers)
             results = session.run_many(_jobs())
-        return col, results
+        return ob, results
 
     def test_serial_and_pool_snapshots_identical(self):
-        col1, res1 = self._run(1)
-        col2, res2 = self._run(2)
-        snap1, snap2 = col1.metrics_snapshot(), col2.metrics_snapshot()
-        assert snap1 == snap2
-        assert [r.metrics for r in res1] == [r.metrics for r in res2]
-        assert sorted(map(tuple, col1.trace_events())) == \
-            sorted(map(tuple, col2.trace_events()))
+        ob1, res1 = self._run(1)
+        ob2, res2 = self._run(2)
+        assert ob1.metrics.snapshot() == ob2.metrics.snapshot()
+        assert sorted(map(tuple, ob1.trace.as_list())) == \
+            sorted(map(tuple, ob2.trace.as_list()))
+        counters = [{name: getattr(ob.profile, name)
+                     for name in PROFILE_COUNTERS} for ob in (ob1, ob2)]
+        assert counters[0] == counters[1]
+        assert counters[0]["runs"] == len(res1) == len(res2)
 
     def test_session_snapshot_equals_merged_results(self):
-        col, results = self._run(2)
-        merged = merge_snapshots([r.metrics for r in results])
-        assert merged == col.metrics_snapshot()
+        ob, results = self._run(2)
+        alone = []
+        for job in _jobs():
+            with observing(metrics=True) as single:
+                job.execute()
+            alone.append(single.metrics.snapshot())
+        assert merge_snapshots(alone) == ob.metrics.snapshot()
 
     def test_pool_profiles_merge_into_parent(self):
-        from repro.sim.profile import KernelProfile, profiling
-        with profiling() as prof:
+        from repro.obs import KernelProfile
+        with observing(profile=True) as observed:
             session = SimSession(disk_cache=False, max_workers=2)
-            session.run_many(_jobs())
+            results = session.run_many(_jobs())
+        prof = observed.profile
         assert isinstance(prof, KernelProfile)
-        assert prof.requests > 0  # counted in the workers
-        assert prof.runs >= 2
+        # Counted in the workers; their cold calibrations are not.
+        assert prof.requests == sum(r.total_requests for r in results)
+        assert prof.runs == 2
 
-    def test_cached_result_without_metrics_is_refreshed(self, tmp_path):
-        session = SimSession(cache_dir=str(tmp_path), disk_cache=True,
-                             max_workers=1)
-        job = _jobs()[0]
-        plain = session.run_many([job])[0]
-        assert plain.metrics is None
-        with obs.collecting(metrics=True):
-            fresh = session.run_many([job])[0]
-        assert fresh.metrics is not None
-        # ... and a satisfying cached result is served as-is.
-        with obs.collecting(metrics=True):
-            cached = session.run_many([job])[0]
-        assert cached.metrics == fresh.metrics
+    def test_observing_never_changes_cache_hits(self, tmp_path):
+        jobs = _jobs()
+        SimSession(cache_dir=str(tmp_path), max_workers=1).run_many(jobs)
+
+        def warm_stats(**request):
+            session = SimSession(cache_dir=str(tmp_path), max_workers=1)
+            with observing(**request) as observed:
+                results = session.run_many(jobs)
+            return session.stats, results, observed
+
+        plain_stats, plain, _ = warm_stats()
+        stats, observed_results, observed = warm_stats(metrics=True,
+                                                       trace=True)
+        assert stats == plain_stats
+        assert stats["disk_hits"] == len(jobs)
+        assert stats["misses"] == 0
+        assert observed_results == plain
+        # A hit describes no computation: its cell span is all the
+        # observation gets.
+        assert observed.trace.as_list() == []
+        assert {s[4]["disposition"] for s in observed.spans.as_list()
+                if s[1].startswith("cell:")} == {"cache-hit"}
+        assert not any(key.startswith("mc.")
+                       for key in observed.metrics.snapshot())
 
 
 class TestProfileMergePrimitives:
     def test_to_from_dict_round_trip(self):
-        from repro._profile import KernelProfile
+        from repro.obs import KernelProfile
         prof = KernelProfile()
         prof.requests = 7
         prof.wall_s = 1.5
@@ -127,7 +160,7 @@ class TestProfileMergePrimitives:
         assert clone.to_dict() == prof.to_dict()
 
     def test_merge_is_additive(self):
-        from repro._profile import KernelProfile
+        from repro.obs import KernelProfile
         a, b = KernelProfile(), KernelProfile()
         a.requests = 2
         b.requests = 3
@@ -208,7 +241,8 @@ class TestCliSessionSpans:
                    for e in cells)
         kernels = [e for e in payload["traceEvents"]
                    if e.get("pid") == SPAN_PIDS["worker"]
-                   and e.get("ph") == "X"]
+                   and e.get("ph") == "X"
+                   and e["name"].startswith("kernel:")]
         assert len(kernels) == 2
 
     def test_stats_includes_session_gauges(self, capsys):
@@ -256,3 +290,32 @@ class TestCliSessionSpans:
         assert any(e.get("pid") == SPAN_PIDS["session"]
                    and e.get("name") == "run_many"
                    for e in payload["traceEvents"])
+
+
+class TestCliCacheRule:
+    def test_observing_a_warm_report_changes_nothing(self, tmp_path,
+                                                     capsys):
+        from repro.__main__ import main as cli_main
+        from repro.obs.export import SPAN_PIDS
+        common = ["report", "--only", "table6", "--cgf-scale", "512",
+                  "--workloads", "tc", "--cache-dir", str(tmp_path)]
+        assert cli_main(common + [str(tmp_path / "cold.md")]) == 0
+        assert cli_main(common + [str(tmp_path / "plain.md")]) == 0
+        trace = tmp_path / "trace.json"
+        assert cli_main(common + [str(tmp_path / "observed.md"),
+                                  "--metrics",
+                                  "--trace-out", str(trace)]) == 0
+
+        def report(name):
+            text = (tmp_path / name).read_text()
+            return re.sub(r"wall time [0-9.]+s", "wall time -", text)
+
+        assert "(0% hit rate)" in report("cold.md")
+        assert "100% hit rate" in report("plain.md")
+        assert report("observed.md") == report("plain.md")
+        events = json.loads(trace.read_text())["traceEvents"]
+        cells = [e for e in events if e.get("pid") == SPAN_PIDS["session"]
+                 and e["name"].startswith("cell:")]
+        assert cells
+        assert {e["args"]["disposition"] for e in cells} == {"cache-hit"}
+        assert not any(e["name"].startswith("kernel:") for e in events)

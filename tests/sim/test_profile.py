@@ -2,81 +2,66 @@
 
 from __future__ import annotations
 
-from repro import _profile as profile_impl
+from collections import OrderedDict
+
+from repro.obs import KernelProfile, Observation, current, observing
 from repro.params import SimScale
-from repro.sim.profile import (
-    KernelProfile,
-    active,
-    enabled_by_env,
-    install,
-    maybe_profile_from_env,
-    profiling,
-)
+from repro.sim import runner
 from repro.sim.registry import setup_by_name
-from repro.sim.runner import calibrated_workload, simulate
+from repro.sim.runner import baseline_setup, calibrated_workload, simulate
 
 
 def test_inactive_by_default():
-    assert active() is None
-    assert profile_impl._ACTIVE is None
+    assert current().profile is None
+    assert not current().enabled
 
 
 def test_profiling_scope_installs_and_restores():
-    assert active() is None
-    with profiling() as prof:
-        assert active() is prof
-        # The hot paths read the implementation module's slot directly.
-        assert profile_impl._ACTIVE is prof
-    assert active() is None
+    previous = current()
+    with observing(profile=True) as observed:
+        assert current() is observed
+        assert isinstance(observed.profile, KernelProfile)
+    assert current() is previous
+    assert current().profile is None
 
 
 def test_profiling_nests():
-    with profiling() as outer:
-        with profiling() as inner:
-            assert active() is inner
-        assert active() is outer
-
-
-def test_install_returns_previous():
-    prof = KernelProfile()
-    assert install(prof) is None
-    try:
-        assert active() is prof
-    finally:
-        assert install(None) is prof
-    assert active() is None
+    with observing(profile=True) as outer:
+        with observing(profile=True) as inner:
+            assert current() is inner
+            inner.profile.requests = 3
+        assert current() is outer
+    assert outer.profile.requests == 3  # folded outward on exit
 
 
 def test_enabled_by_env(monkeypatch):
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    assert not enabled_by_env()
+    assert Observation.from_env().profile is None
     for value in ("1", "true", "YES", " on "):
         monkeypatch.setenv("REPRO_PROFILE", value)
-        assert enabled_by_env(), value
+        assert Observation.from_env().profile is not None, value
     for value in ("", "0", "false", "off"):
         monkeypatch.setenv("REPRO_PROFILE", value)
-        assert not enabled_by_env(), value
+        assert Observation.from_env().profile is None, value
 
 
-def test_maybe_profile_from_env(monkeypatch):
+def test_from_env_profile_flag_or_env(monkeypatch):
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    with maybe_profile_from_env() as prof:
-        assert prof is None
-    with maybe_profile_from_env(force=True) as prof:
-        assert prof is not None
+    assert Observation.from_env(profile=True).profile is not None
     monkeypatch.setenv("REPRO_PROFILE", "1")
-    with maybe_profile_from_env() as prof:
-        assert prof is not None
-    assert active() is None
+    with Observation.from_env() as observed:
+        assert current().profile is observed.profile is not None
+    assert current().profile is None
 
 
 def test_simulate_populates_profile():
     scale = SimScale(8192)
     # Warm the calibration cache so the profile covers exactly one run.
     calibrated_workload("mcf", scale, seed=0)
-    with profiling() as prof:
+    with observing(profile=True) as observed:
         result = simulate("mcf", setup_by_name("mirza-1000"),
                           scale, seed=0)
+    prof = observed.profile
     assert prof.runs == 1
     assert prof.requests == result.total_requests > 0
     assert prof.activations == result.total_activations > 0
@@ -89,11 +74,21 @@ def test_simulate_populates_profile():
     assert prof.acts_per_sec() > 0
 
 
+def test_cold_calibration_is_not_profiled(monkeypatch):
+    # A cold calibration cache runs probe windows; they must stay out
+    # of the profile so cold, warm and pooled profiles agree.
+    monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+    with observing(profile=True) as observed:
+        result = simulate("tc", baseline_setup(), SimScale(2048))
+    assert observed.profile.runs == 1
+    assert observed.profile.requests == result.total_requests
+
+
 def test_profiling_does_not_change_results():
     scale = SimScale(8192)
     setup = setup_by_name("mirza-1000")
     plain = simulate("tc", setup, scale, seed=0)
-    with profiling():
+    with observing(profile=True):
         profiled = simulate("tc", setup, scale, seed=0)
     assert profiled.total_requests == plain.total_requests
     assert profiled.total_activations == plain.total_activations
