@@ -20,9 +20,13 @@ repository runs on.  It owns two things:
    (traces are freshly seeded per run), so parallel output is
    byte-identical to a serial run -- and a *retried* job re-executes
    the same pure content, so bounded retries never change results.
-   Completed results are stored (memory + disk) as they finish, a
-   crashed worker pool is rebuilt (falling back to serial in-process
-   execution if it keeps breaking), and a :class:`FailurePolicy`
+   Every attempt, in a pool worker or in-process, runs through one
+   function (:func:`_attempt`) and is settled by one step (store,
+   retry, or permanent failure), so serial and pooled batches also
+   observe identical counts.  Completed results are stored (memory +
+   disk) as they finish, a crashed worker pool is rebuilt (falling
+   back to in-process execution if it keeps breaking), an abandoned
+   pool's workers are terminated, and a :class:`FailurePolicy`
    decides whether a permanently-failed job raises (:obj:`FAIL_FAST`,
    the library default) or yields a typed :class:`JobFailure` record
    in its result slot (:obj:`KEEP_GOING`, what ``python -m repro
@@ -55,9 +59,8 @@ import hashlib
 import json
 import os
 import warnings
-from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from time import perf_counter
@@ -104,7 +107,8 @@ ride inside a cached result (see :mod:`repro.obs.observation`).
 """
 
 _MISS = object()
-"""Internal sentinel distinguishing 'no cached value' from any result."""
+"""Internal sentinel distinguishing 'no value yet' (no cached result,
+an unsettled cell) from any result."""
 
 
 # ----------------------------------------------------------------------
@@ -495,52 +499,36 @@ register_job_type(TenantJob, encode_sim_result, decode_sim_result)
 register_job_type(TraceReplayJob, encode_sim_result, decode_sim_result)
 
 
-def _execute(job: Any) -> Any:
-    """Process-pool entry point: run one job, return its result."""
-    return job.execute()
+_POOL_ENV_VARS = ("REPRO_FAULT_RATE", "REPRO_FAULT_SEED",
+                  _backend_mod.ENV_VAR)
+"""Env vars that carry the parent's fault-injection and kernel-backend
+choices to workers (a spawn-start pool would miss env vars set after
+interpreter start).  Workers must run the same (bit-identical) kernel
+the parent would have, both so timing expectations hold and so
+serial/pool runs stay interchangeable in benchmarks."""
 
 
-_FAULT_ENV_VARS = ("REPRO_FAULT_RATE", "REPRO_FAULT_SEED")
+def _attempt(job: Any, env: Dict[str, str], request: Dict[str, Any],
+             attempt: int) -> Tuple[Any, Dict[str, Any], float]:
+    """Run one attempt of one job: the only place a job executes.
 
-
-def _pool_env_overrides() -> Dict[str, str]:
-    """Env vars that carry the parent's fault-injection and backend
-    choices to workers (a spawn-start pool would miss env vars set
-    after interpreter start)."""
-    env: Dict[str, str] = {}
-    for var in _FAULT_ENV_VARS:
-        value = os.environ.get(var)
-        if value:
-            env[var] = value
-    # Kernel backend selection follows the same route: workers must run
-    # the same (bit-identical) kernel the parent would have, both so
-    # timing expectations hold and so serial/pool runs stay
-    # interchangeable in benchmarks.
-    backend = os.environ.get(_backend_mod.ENV_VAR)
-    if backend:
-        env[_backend_mod.ENV_VAR] = backend
-    return env
-
-
-def _execute_job(payload: Tuple[Any, Dict[str, str], Dict[str, Any],
-                                int]) -> Tuple[Any, Dict[str, Any], float]:
-    """Pool entry point carrying the parent's observation request.
-
-    ``payload`` is ``(job, env overrides, request, attempt)``: the
-    request is the parent's :meth:`~repro.obs.observation.Observation
-    .request`, and the attempt number feeds the deterministic
-    fault-injection hook.  Returns ``(result, observation payload,
-    exec_seconds)``; ``exec_seconds`` is the job's wall-clock execution
-    time in this worker (it feeds the parent's pool-utilization gauge
-    -- the parent only observes queue + execution time together).
+    Pool workers receive it by reference; the in-process path calls it
+    directly (with no ``env`` overrides).  ``request`` is the parent's
+    :meth:`~repro.obs.observation.Observation.request`, and ``attempt``
+    (failed attempts so far) feeds the deterministic fault-injection
+    hook.  Returns ``(result, observation payload, exec_seconds)``;
+    ``exec_seconds`` is the job's wall-clock execution time (it feeds
+    the parent's pool-utilization gauge -- the parent only observes
+    queue + execution time together).  The job runs under its own
+    observation, hidden from the caller's: the caller merges the
+    payload only when the attempt succeeds, so a raising attempt is
+    never counted, in a worker or in-process.
     """
-    job, env, request, attempt = payload
-    for key, value in env.items():
-        os.environ[key] = value
+    os.environ.update(env)
     _maybe_inject_fault(job, attempt)
     t0 = perf_counter()
-    # A forked worker inherits the parent's observation; hide it so
-    # the job's observation never folds into that stale copy.
+    # suppressed() also hides the parent observation a forked worker
+    # inherits, so the job's observation never folds into that copy.
     with _observation.suppressed(), \
             _observation.observing(**request) as observed:
         result = job.execute()
@@ -558,16 +546,29 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-class _Tally:
-    """Mutable per-batch failure bookkeeping shared by the exec paths."""
+@dataclasses.dataclass(eq=False)
+class _Cell:
+    """One distinct work item of a batch and its execution record.
 
-    __slots__ = ("computed", "retried", "timed_out", "failures")
+    ``token`` is ``None`` for an untokened job, which always runs
+    in-process and is never stored.  ``attempts`` counts executions so
+    far, ``stalls`` the queue-stall requeues, ``start`` is the
+    ``(now_us, perf_counter)`` pair of the first submission, and
+    ``outcome`` is the result or :class:`JobFailure` once settled.
+    """
 
-    def __init__(self) -> None:
-        self.computed = 0
-        self.retried = 0
-        self.timed_out = 0
-        self.failures: Dict[str, JobFailure] = {}  # token -> failure
+    token: Optional[str]
+    job: Any
+    attempts: int = 0
+    stalls: int = 0
+    start: Optional[Tuple[float, float]] = None
+    outcome: Any = _MISS
+
+    def started(self) -> None:
+        """Mark the cell's lifetime start (first submission only, so a
+        retry or a pool rebuild never resets its span)."""
+        if self.start is None:
+            self.start = (now_us(), perf_counter())
 
 
 QUEUE_DEPTH_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -576,37 +577,40 @@ outstanding, observed at each completion)."""
 
 
 class _BatchMonitor:
-    """Per-batch span recording and progress bookkeeping.
+    """Per-batch counting, span recording and progress bookkeeping.
 
-    One instance per :meth:`SimSession.run_many`.  It owns the
-    wall-clock view of the batch: per-cell session spans (disposition
-    in the meta), the ``workers`` execution-phase span, the live
-    progress callback, the queue-depth histogram, and the busy-seconds
-    total behind the pool-utilization gauge.  Span recording is skipped
-    entirely when no recorder is installed; the histogram lands in the
-    session-local registry, which is always present and cheap.
+    One instance per :meth:`SimSession.run_many`.  It counts the batch
+    -- cells done, cache hits, computed and failed cells, retried
+    attempts and timeout expiries -- and builds its :class:`BatchStats`.
+    It also owns the wall-clock view of the batch: per-cell session
+    spans (disposition in the meta), the ``workers`` execution-phase
+    span, the live progress callback, the queue-depth histogram, and
+    the busy-seconds total behind the pool-utilization gauge.  Span
+    recording is skipped entirely when no recorder is installed; the
+    histogram lands in the session-local registry, which is always
+    present and cheap.
     """
 
-    __slots__ = ("recorder", "progress", "tally", "total", "done",
-                 "cache_hits", "failed", "busy_s", "pool_rebuilds",
-                 "start_us", "_t0", "_starts", "_queue_hist")
+    __slots__ = ("recorder", "progress", "total", "done", "cache_hits",
+                 "computed", "failed", "retried", "timed_out", "busy_s",
+                 "pool_rebuilds", "start_us", "_t0", "_queue_hist")
 
     def __init__(self, recorder: Optional[SpanRecorder],
                  progress: Optional[Callable[[ProgressUpdate], None]],
-                 registry: MetricsRegistry, tally: _Tally,
-                 total: int) -> None:
+                 registry: MetricsRegistry, total: int) -> None:
         self.recorder = recorder
         self.progress = progress
-        self.tally = tally
         self.total = total
         self.done = 0
         self.cache_hits = 0
+        self.computed = 0
         self.failed = 0
+        self.retried = 0
+        self.timed_out = 0
         self.busy_s = 0.0
         self.pool_rebuilds = 0
         self.start_us = now_us()
         self._t0 = perf_counter()
-        self._starts: Dict[str, Tuple[float, float]] = {}
         self._queue_hist = registry.histogram("session.queue_depth",
                                               QUEUE_DEPTH_BOUNDS)
 
@@ -614,14 +618,7 @@ class _BatchMonitor:
     def elapsed_s(self) -> float:
         return perf_counter() - self._t0
 
-    def job_started(self, token: Optional[str]) -> None:
-        """Mark a cell's lifetime start (first submission only, so a
-        retry or a pool rebuild never resets the span)."""
-        if token is not None and token not in self._starts:
-            self._starts[token] = (now_us(), perf_counter())
-
-    def cell_done(self, token: Optional[str], job: Any,
-                  disposition: str, attempts: int,
+    def cell_done(self, cell: _Cell, disposition: str,
                   exec_s: float = 0.0) -> None:
         """Record one finished cell: span, histogram, progress tick."""
         self.done += 1
@@ -629,32 +626,31 @@ class _BatchMonitor:
             self.cache_hits += 1
         elif disposition in ("failed", "timed-out"):
             self.failed += 1
+        else:
+            self.computed += 1
         self.busy_s += exec_s
         self._queue_hist.observe(self.total - self.done)
         if self.recorder is not None:
-            started = self._starts.pop(token, None) \
-                if token is not None else None
-            if started is not None:
-                start_us = started[0]
-                dur_us = (perf_counter() - started[1]) * 1e6
+            if cell.start is not None:
+                start_us = cell.start[0]
+                dur_us = (perf_counter() - cell.start[1]) * 1e6
             else:
-                # Cache hits and untokened jobs have no tracked start;
-                # their span is the execution time ending now.
-                dur_us = exec_s * 1e6
-                start_us = now_us() - dur_us
+                # A cache hit never started; its span ends now.
+                start_us, dur_us = now_us(), 0.0
             meta: Dict[str, Any] = {"disposition": disposition,
-                                    "attempts": attempts}
-            if token is not None:
-                meta["token"] = token[:12]
+                                    "attempts": cell.attempts}
+            if cell.token is not None:
+                meta["token"] = cell.token[:12]
             if exec_s:
                 meta["exec_ms"] = round(exec_s * 1e3, 3)
-            self.recorder.add(TRACK_SESSION, f"cell:{job_label(job)}",
+            self.recorder.add(TRACK_SESSION,
+                              f"cell:{job_label(cell.job)}",
                               start_us, dur_us, meta)
         if self.progress is not None:
             self.progress(ProgressUpdate(
                 done=self.done, total=self.total,
                 cache_hits=self.cache_hits,
-                retried=self.tally.retried, failed=self.failed,
+                retried=self.retried, failed=self.failed,
                 elapsed_s=self.elapsed_s))
 
     @contextmanager
@@ -667,18 +663,25 @@ class _BatchMonitor:
             yield
             attrs["pool_rebuilds"] = self.pool_rebuilds
 
-    def finish(self, batch: "BatchStats") -> None:
-        """Record the batch's root ``run_many`` span."""
-        if self.recorder is None:
-            return
-        self.recorder.add(
-            TRACK_SESSION, "run_many", self.start_us,
-            self.elapsed_s * 1e6,
-            {"submitted": batch.submitted, "unique": batch.unique,
-             "cache_hits": batch.cache_hits,
-             "computed": batch.computed, "failed": batch.failed,
-             "retried": batch.retried, "timed_out": batch.timed_out,
-             "workers": batch.workers})
+    def finish(self, submitted: int, cache_hits: int,
+               workers: int) -> BatchStats:
+        """Close the batch: its :class:`BatchStats`, also recorded as
+        the root ``run_many`` span.  ``cache_hits`` counts submissions
+        served from cache (the monitor counts cells)."""
+        batch = BatchStats(
+            submitted=submitted, unique=self.total,
+            cache_hits=cache_hits, computed=self.computed,
+            failed=self.failed, retried=self.retried,
+            timed_out=self.timed_out, workers=workers,
+            wall_seconds=self.elapsed_s, busy_seconds=self.busy_s)
+        if self.recorder is not None:
+            self.recorder.add(
+                TRACK_SESSION, "run_many", self.start_us,
+                batch.wall_seconds * 1e6,
+                {field: getattr(batch, field) for field in (
+                    "submitted", "unique", "cache_hits", "computed",
+                    "failed", "retried", "timed_out", "workers")})
+        return batch
 
 
 class SimSession:
@@ -714,8 +717,9 @@ class SimSession:
         Per-job seconds budget when fanning out over worker processes
         (``None`` -- the default, via ``REPRO_JOB_TIMEOUT`` -- means no
         timeout).  A timed-out job consumes an attempt; the pool is
-        torn down and rebuilt so a wedged worker cannot hold the batch
-        hostage.  Serial in-process execution cannot be preempted and
+        torn down, its workers terminated, and rebuilt, so a wedged
+        worker cannot hold the batch (or interpreter exit) hostage.
+        Serial in-process execution cannot be preempted and
         ignores the timeout.
     progress:
         Optional callback invoked once per finished cell with a
@@ -800,77 +804,45 @@ class SimSession:
         policy = FailurePolicy.coerce(policy, self.failure_policy)
         retries = self._effective_retries(max_retries)
         timeout = self._effective_timeout(job_timeout)
-        results: List[Any] = [_MISS] * len(jobs)
-        pending: "OrderedDict[str, Any]" = OrderedDict()
-        hit_jobs: "OrderedDict[str, Any]" = OrderedDict()
-        untokened: List[int] = []
-        seen_tokens = set()
+        results: List[Any] = []  # a cached result, or the job's cell
+        hit_cells: Dict[str, _Cell] = {}
+        cells: Dict[Any, _Cell] = {}
         hits = 0
         for index, (job, token) in enumerate(zip(jobs, tokens)):
-            if token is None:
-                untokened.append(index)
-                continue
-            seen_tokens.add(token)
-            hit = self._lookup(token, type(job))
+            hit = _MISS if token is None \
+                else self._lookup(token, type(job))
             if hit is not _MISS:
-                results[index] = hit
+                results.append(hit)
                 hits += 1
-                if token not in hit_jobs:
-                    hit_jobs[token] = job
-            elif token not in pending:
-                pending[token] = job
-        unique = list(pending.items())
-        workers = self._effective_workers(max_workers, len(unique))
-        tally = _Tally()
-        # The monitor counts *cells* (distinct work items), not raw
-        # submissions: distinct cache-hit tokens + unique pending
-        # tokens + untokened jobs.
+                hit_cells.setdefault(token, _Cell(token, job))
+            else:
+                # One cell per distinct work item: a content token, or
+                # the index of an untokened job (which never dedups).
+                results.append(cells.setdefault(
+                    index if token is None else token, _Cell(token, job)))
+        pooled = [cell for cell in cells.values()
+                  if cell.token is not None]
+        workers = self._effective_workers(max_workers, len(pooled))
         monitor = _BatchMonitor(
             recorder=_observation.current().spans,
-            progress=self.progress,
-            registry=self.obs, tally=tally,
-            total=len(hit_jobs) + len(unique) + len(untokened))
-        for token, job in hit_jobs.items():
-            monitor.cell_done(token, job, "cache-hit", attempts=0)
+            progress=self.progress, registry=self.obs,
+            total=len(hit_cells) + len(cells))
+        for cell in hit_cells.values():
+            monitor.cell_done(cell, "cache-hit")
+        request = _observation.current().request()
         with monitor.phase("workers", workers=workers):
-            if workers > 1 and len(unique) > 1:
-                self._run_pool(unique, workers, retries, timeout,
-                               tally, monitor)
-            else:
-                self._run_serial(unique, retries, tally,
-                                 monitor=monitor)
-            for index in untokened:
-                results[index] = self._run_untokened(
-                    jobs[index], retries, tally, monitor)
-        self.stats["misses"] += len(unique) + len(untokened)
-        untokened_failed = sum(
-            1 for index in untokened if is_failure(results[index]))
-        self.last_batch = BatchStats(
-            submitted=len(jobs),
-            unique=len(seen_tokens) + len(untokened),
-            cache_hits=hits,
-            computed=tally.computed,
-            failed=len(tally.failures) + untokened_failed,
-            retried=tally.retried,
-            timed_out=tally.timed_out,
-            workers=workers,
-            wall_seconds=monitor.elapsed_s,
-            busy_seconds=monitor.busy_s)
-        self.stats["planned"] += self.last_batch.submitted
-        self.stats["unique"] += self.last_batch.unique
-        self.stats["failed"] += self.last_batch.failed
-        self.stats["retried"] += self.last_batch.retried
-        self.stats["timed_out"] += self.last_batch.timed_out
-        self._publish_failure_metrics(self.last_batch)
-        self._publish_batch_metrics(self.last_batch)
-        monitor.finish(self.last_batch)
-        for index, token in enumerate(tokens):
-            if results[index] is not _MISS or token is None:
-                continue
-            if token in self._memory:
-                results[index] = self._memory[token]
-            else:
-                results[index] = tally.failures[token]
+            if workers > 1 and len(pooled) > 1:
+                self._run_pool(pooled, workers, request, retries,
+                               timeout, monitor)
+            # Untokened cells (they may hold closures), every cell of a
+            # serial batch, and whatever a collapsing pool left over.
+            for cell in cells.values():
+                self._run_local(cell, request, retries, monitor)
+        self.stats["misses"] += len(cells)
+        self.last_batch = monitor.finish(len(jobs), hits, workers)
+        self._publish(self.last_batch)
+        results = [slot.outcome if isinstance(slot, _Cell) else slot
+                   for slot in results]
         if policy is FailurePolicy.FAIL_FAST:
             for result in results:
                 if is_failure(result):
@@ -955,268 +927,184 @@ class SimSession:
         """Pool construction seam (tests substitute broken pools)."""
         return ProcessPoolExecutor(max_workers=workers)
 
-    def _failure_for(self, job: Any, token: Optional[str],
-                     error: Optional[BaseException], attempts: int,
-                     timed_out: bool = False) -> JobFailure:
-        if timed_out:
-            error_type = "TimeoutError"
-            message = "exceeded the per-job timeout"
-        else:
-            error_type = type(error).__name__
-            message = str(error)
-        return JobFailure(job=job, token=token, error_type=error_type,
-                          message=message, attempts=attempts,
-                          timed_out=timed_out)
+    def _settle(self, cell: _Cell, retries: int, monitor: _BatchMonitor,
+                done: Optional[Tuple[Any, Dict[str, Any], float]] = None,
+                error: Optional[BaseException] = None) -> None:
+        """Settle one attempt of ``cell``: store, retry, or fail it.
 
-    def _complete(self, token: str, job: Any, result: Any,
-                  observed: Dict[str, Any], tally: _Tally,
-                  monitor: _BatchMonitor, exec_s: float,
-                  attempts: int) -> None:
-        """Fold one finished pool job into the parent, cache included.
-
-        Results are stored *as they finish* -- not after the batch --
-        so a batch killed halfway resumes from cache on rerun.
-        ``attempts`` counts every execution including the successful
-        one; more than one means the cell's disposition is ``retried``.
-        ``observed`` is the worker's observation payload; folding it
-        into the current observation makes pooled runs aggregate
-        exactly like serial in-process ones.
+        The one retry / permanent-failure decision, for every path.
+        ``done`` is a successful attempt's :func:`_attempt` return: its
+        observation payload folds into the current observation (pooled
+        runs aggregate exactly like in-process ones) and a tokened
+        result is stored *as it finishes* -- not after the batch -- so
+        a batch killed halfway resumes from cache on rerun.  Otherwise
+        the attempt raised ``error``, or timed out when ``error`` is
+        ``None``; the cell stays unsettled (``outcome`` is ``_MISS``)
+        while its retry budget lasts, and then settles as a
+        :class:`JobFailure`.
         """
-        _observation.current().merge(observed)
-        self._store(token, type(job), result)
-        tally.computed += 1
-        monitor.cell_done(token, job,
-                          "retried" if attempts > 1 else "computed",
-                          attempts, exec_s=exec_s)
+        cell.attempts += 1
+        if done is not None:
+            result, observed, exec_s = done
+            _observation.current().merge(observed)
+            if cell.token is not None:
+                self._store(cell.token, type(cell.job), result)
+            cell.outcome = result
+            monitor.cell_done(
+                cell, "retried" if cell.attempts > 1 else "computed",
+                exec_s)
+            return
+        timed_out = error is None
+        monitor.timed_out += timed_out
+        if cell.attempts <= retries:
+            monitor.retried += 1
+            return
+        cell.outcome = JobFailure(
+            job=cell.job, token=cell.token,
+            error_type="TimeoutError" if timed_out
+            else type(error).__name__,
+            message="exceeded the per-job timeout" if timed_out
+            else str(error),
+            attempts=cell.attempts, timed_out=timed_out)
+        monitor.cell_done(cell, "timed-out" if timed_out else "failed")
 
-    def _run_serial(self, items: List[Tuple[str, Any]], retries: int,
-                    tally: _Tally, monitor: _BatchMonitor,
-                    attempts: Optional[Dict[str, int]] = None) -> None:
-        """In-process execution with retries (also the pool fallback)."""
-        for token, job in items:
-            attempt = attempts.get(token, 0) if attempts else 0
-            monitor.job_started(token)
-            exec_s = 0.0
-            while True:
-                t0 = perf_counter()
-                try:
-                    _maybe_inject_fault(job, attempt)
-                    result = job.execute()
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:  # noqa: BLE001
-                    exec_s += perf_counter() - t0
-                    attempt += 1
-                    if attempt > retries:
-                        tally.failures[token] = self._failure_for(
-                            job, token, error, attempt)
-                        monitor.cell_done(token, job, "failed",
-                                          attempt, exec_s=exec_s)
-                        break
-                    tally.retried += 1
-                    continue
-                exec_s += perf_counter() - t0
-                self._store(token, type(job), result)
-                tally.computed += 1
-                monitor.cell_done(
-                    token, job,
-                    "retried" if attempt else "computed",
-                    attempt + 1, exec_s=exec_s)
-                break
+    def _run_local(self, cell: _Cell, request: Dict[str, Any],
+                   retries: int, monitor: _BatchMonitor) -> None:
+        """Attempt ``cell`` in-process until it settles.
 
-    def _run_untokened(self, job: Any, retries: int, tally: _Tally,
-                       monitor: _BatchMonitor) -> Any:
-        """Run one uncacheable job in-process; failures become records."""
-        attempt = 0
-        exec_s = 0.0
-        while True:
-            t0 = perf_counter()
+        The serial path, the only path of untokened jobs, and the
+        broken-pool fallback (which resumes from the cell's attempt
+        count).  Returns at once for a cell the pool already settled.
+        """
+        while cell.outcome is _MISS:
+            cell.started()
             try:
-                _maybe_inject_fault(job, attempt)
-                result = job.execute()
+                done = _attempt(cell.job, {}, request, cell.attempts)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as error:  # noqa: BLE001
-                exec_s += perf_counter() - t0
-                attempt += 1
-                if attempt > retries:
-                    monitor.cell_done(None, job, "failed", attempt,
-                                      exec_s=exec_s)
-                    return self._failure_for(job, None, error, attempt)
-                tally.retried += 1
-                continue
-            exec_s += perf_counter() - t0
-            monitor.cell_done(
-                None, job, "retried" if attempt else "computed",
-                attempt + 1, exec_s=exec_s)
-            return result
+                self._settle(cell, retries, monitor, error=error)
+            else:
+                self._settle(cell, retries, monitor, done=done)
 
-    def _run_pool(self, unique: List[Tuple[str, Any]], workers: int,
-                  retries: int, timeout: Optional[float],
-                  tally: _Tally, monitor: _BatchMonitor) -> None:
+    def _run_pool(self, cells: List[_Cell], workers: int,
+                  request: Dict[str, Any], retries: int,
+                  timeout: Optional[float],
+                  monitor: _BatchMonitor) -> None:
         """Per-job-future fan-out with retries, timeout, and recovery.
 
-        Each pending job is an individual ``submit()`` future harvested
-        in submission order.  A job that raises in its worker is
-        resubmitted (up to ``retries`` times) into the same pool; a
-        per-job timeout or a ``BrokenProcessPool`` tears the pool down
-        -- after draining every already-finished future into the cache
-        -- and rebuilds it for the remaining jobs.  A pool that keeps
-        breaking (``_MAX_POOL_REBUILDS``) degrades to serial in-process
-        execution of whatever is left.
+        Each unsettled cell is an individual ``submit()`` of
+        :func:`_attempt`, harvested in submission order and settled
+        like an in-process attempt; a cell whose attempt raised is
+        resubmitted into the same pool.  A per-job timeout or a
+        ``BrokenProcessPool`` abandons the pool -- after draining every
+        already-finished future into the cache, and terminating its
+        workers so a wedged job cannot outlive it -- and rebuilds it
+        for the remaining cells.  A pool that keeps breaking
+        (``_MAX_POOL_REBUILDS``) leaves whatever is left unsettled for
+        :meth:`_run_local`.
         """
-        env = _pool_env_overrides()
-        request = _observation.current().request()
-        pending: "OrderedDict[str, Any]" = OrderedDict(unique)
-        attempts: Dict[str, int] = {token: 0 for token, _ in unique}
-        stalls: Dict[str, int] = {}
-        breaks = 0
-        while pending:
+        env = {var: os.environ[var] for var in _POOL_ENV_VARS
+               if os.environ.get(var)}
+        while cells and monitor.pool_rebuilds <= self._MAX_POOL_REBUILDS:
             pool = self._make_pool(workers)
-            abandon_pool = False
+            abandon = False
+            queue: deque = deque()
 
-            def submit(token: str):
-                job = pending[token]
-                monitor.job_started(token)
-                return pool.submit(
-                    _execute_job,
-                    (job, env, request, attempts[token]))
+            def submit(cell: _Cell):
+                cell.started()
+                return pool.submit(_attempt, cell.job, env, request,
+                                   cell.attempts)
 
             try:
-                queue = deque(
-                    (token, submit(token)) for token in pending)
-            except BrokenProcessPool:
-                queue = deque()
-                abandon_pool = True
-            try:
+                for cell in cells:
+                    queue.append((cell, submit(cell)))
                 while queue:
-                    token, future = queue.popleft()
-                    job = pending[token]
-                    try:
-                        result, observed, exec_s = future.result(
-                            timeout=timeout)
-                    except FuturesTimeoutError:
+                    cell, future = queue.popleft()
+                    # A timeout is a future still unfinished, never an
+                    # exception type: a job may raise TimeoutError too.
+                    if not wait([future], timeout=timeout).done:
                         if future.cancel():
                             # Never started: the pool is merely
                             # saturated, so the wait was queue time,
                             # not execution time.  Requeue without
                             # consuming an attempt (bounded).
-                            stalls[token] = stalls.get(token, 0) + 1
-                            if stalls[token] <= self._MAX_QUEUE_STALLS:
-                                queue.append((token, submit(token)))
+                            cell.stalls += 1
+                            if cell.stalls <= self._MAX_QUEUE_STALLS:
+                                queue.append((cell, submit(cell)))
                                 continue
-                        attempts[token] += 1
-                        tally.timed_out += 1
-                        if attempts[token] > retries:
-                            tally.failures[token] = self._failure_for(
-                                job, token, None, attempts[token],
-                                timed_out=True)
-                            del pending[token]
-                            monitor.cell_done(token, job, "timed-out",
-                                              attempts[token])
-                        else:
-                            tally.retried += 1
+                        self._settle(cell, retries, monitor)
                         # The worker behind this future may be wedged;
                         # abandon the pool so it cannot hold the batch.
-                        abandon_pool = True
+                        abandon = True
                         break
-                    except BrokenProcessPool:
-                        abandon_pool = True
-                        break
-                    except (KeyboardInterrupt, SystemExit):
+                    try:
+                        done = future.result()
+                    except (BrokenProcessPool, KeyboardInterrupt,
+                            SystemExit):
                         raise
                     except BaseException as error:  # noqa: BLE001
-                        attempts[token] += 1
-                        if attempts[token] > retries:
-                            tally.failures[token] = self._failure_for(
-                                job, token, error, attempts[token])
-                            del pending[token]
-                            monitor.cell_done(token, job, "failed",
-                                              attempts[token])
-                        else:
-                            tally.retried += 1
-                            try:
-                                queue.append((token, submit(token)))
-                            except BrokenProcessPool:
-                                abandon_pool = True
-                                break
-                        continue
-                    self._complete(token, job, result, observed,
-                                   tally, monitor, exec_s,
-                                   attempts[token] + 1)
-                    del pending[token]
-                if abandon_pool:
-                    # Keep every sibling that did finish: drain any
-                    # completed future before discarding the pool.
-                    for token, future in queue:
-                        if token not in pending or not future.done():
-                            continue
-                        try:
-                            result, observed, exec_s = \
-                                future.result(timeout=0)
-                        except (KeyboardInterrupt, SystemExit):
-                            raise
-                        except BaseException:  # noqa: BLE001
-                            continue  # handled on the next pool
-                        self._complete(token, pending[token], result,
-                                       observed, tally, monitor,
-                                       exec_s, attempts[token] + 1)
-                        del pending[token]
+                        self._settle(cell, retries, monitor, error=error)
+                        if cell.outcome is _MISS:
+                            queue.append((cell, submit(cell)))
+                    else:
+                        self._settle(cell, retries, monitor, done=done)
+            except BrokenProcessPool:
+                abandon = True
             finally:
-                pool.shutdown(wait=not abandon_pool,
-                              cancel_futures=True)
-            if not pending:
-                return
-            if abandon_pool:
-                breaks += 1
+                # shutdown() cannot stop a running worker, and the
+                # interpreter would wait for it at exit: terminate an
+                # abandoned pool's processes outright (read from the
+                # executor's private ``_processes`` map, which a
+                # substituted test pool may lack).
+                doomed = list((getattr(pool, "_processes", None)
+                               or {}).values()) if abandon else []
+                pool.shutdown(wait=not abandon, cancel_futures=True)
+                for process in doomed:
+                    process.terminate()
+            # Keep every sibling that did finish before the pool went.
+            for cell, future in queue:
+                if future.done() and not future.cancelled() \
+                        and future.exception() is None:
+                    self._settle(cell, retries, monitor,
+                                 done=future.result())
+            cells = [cell for cell in cells if cell.outcome is _MISS]
+            if cells:
                 monitor.pool_rebuilds += 1
-                if breaks > self._MAX_POOL_REBUILDS:
-                    # The pool keeps dying under us; finish what is
-                    # left serially in-process, where a raised
-                    # exception is at least catchable.
-                    items = list(pending.items())
-                    pending.clear()
-                    self._run_serial(items, retries, tally, monitor,
-                                     attempts=attempts)
-                    return
 
-    def _publish_failure_metrics(self, batch: BatchStats) -> None:
-        """Count batch failures into the observed metrics registry."""
-        registry = _observation.current().metrics
-        if registry is None:
-            return
-        if batch.failed:
-            registry.counter("session.jobs_failed").inc(batch.failed)
-        if batch.retried:
-            registry.counter("session.jobs_retried").inc(batch.retried)
-        if batch.timed_out:
-            registry.counter("session.jobs_timed_out").inc(
-                batch.timed_out)
+    _FAILURE_COUNTERS = (("failed", "session.jobs_failed"),
+                         ("retried", "session.jobs_retried"),
+                         ("timed_out", "session.jobs_timed_out"))
+    """:class:`BatchStats` failure fields, each a ``stats`` key and the
+    name of the counter it is published under."""
 
-    def _publish_batch_metrics(self, batch: BatchStats) -> None:
-        """Publish cache/pool gauges into the *session-local* registry.
+    def _publish(self, batch: BatchStats) -> None:
+        """Publish one batch into :attr:`stats` and the registries.
 
-        These land in :attr:`obs`, never the observation's registry,
-        because hit rate and utilization depend on cache state and
-        wall clock -- folding them into the observation would break
+        The failure counters land in :attr:`stats`, :attr:`obs` and
+        the observation's registry.  The cache/pool gauges land only in
+        :attr:`obs`: hit rate and utilization depend on cache state and
+        wall clock, so folding them into the observation would break
         the serial-vs-pool snapshot identity guarantee.
         """
-        registry = self.obs
-        registry.counter("session.jobs_submitted").inc(batch.submitted)
-        registry.counter("session.cache_hits").inc(batch.cache_hits)
-        registry.counter("session.jobs_computed").inc(batch.computed)
-        if batch.failed:
-            registry.counter("session.jobs_failed").inc(batch.failed)
-        if batch.retried:
-            registry.counter("session.jobs_retried").inc(batch.retried)
-        if batch.timed_out:
-            registry.counter("session.jobs_timed_out").inc(
-                batch.timed_out)
-        registry.gauge("session.cache.hit_rate").set(
+        self.stats["planned"] += batch.submitted
+        self.stats["unique"] += batch.unique
+        self.obs.counter("session.jobs_submitted").inc(batch.submitted)
+        self.obs.counter("session.cache_hits").inc(batch.cache_hits)
+        self.obs.counter("session.jobs_computed").inc(batch.computed)
+        observed = _observation.current().metrics
+        sinks = (self.obs,) if observed is None else (self.obs, observed)
+        for field, metric in self._FAILURE_COUNTERS:
+            count = getattr(batch, field)
+            self.stats[field] += count
+            if count:
+                for sink in sinks:
+                    sink.counter(metric).inc(count)
+        self.obs.gauge("session.cache.hit_rate").set(
             round(100.0 * batch.hit_rate, 1))
-        registry.gauge("session.pool.utilization").set(
+        self.obs.gauge("session.pool.utilization").set(
             round(100.0 * batch.utilization, 1))
-        registry.gauge("session.pool.workers").set(batch.workers)
+        self.obs.gauge("session.pool.workers").set(batch.workers)
 
     def obs_snapshot(self) -> dict:
         """Snapshot of the session-local batch metrics (see :attr:`obs`)."""

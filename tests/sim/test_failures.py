@@ -12,10 +12,13 @@ unpickle them by reference.
 
 import dataclasses
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 import repro._env as _env
 from repro.params import SimScale
 from repro.sim.runner import baseline_setup, mirza_setup, prac_setup
@@ -93,6 +96,16 @@ class SleepJob:
     def execute(self):
         time.sleep(self.seconds)
         return "slept"
+
+
+@dataclasses.dataclass(frozen=True)
+class RaisesTimeoutJob:
+    """Raises its own ``TimeoutError`` (a socket timeout, say)."""
+
+    key: int
+
+    def execute(self):
+        raise TimeoutError(f"socket timed out {self.key}")
 
 
 # JSON-trivial results: identity codecs make the toy jobs disk-cacheable.
@@ -266,6 +279,47 @@ class TestTimeout:
         assert results[0].error_type == "TimeoutError"
         assert results[1] == 4
         assert session.last_batch.timed_out == 1
+
+    def test_a_jobs_own_timeout_error_is_not_a_timeout(self):
+        # Only a future still unfinished is a per-job timeout; a job
+        # that raises TimeoutError fails like any other, on both paths.
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False)
+            results = session.run_many(
+                [RaisesTimeoutJob(1), OkJob(2)], max_workers=workers,
+                policy="keep_going", max_retries=0)
+            assert results[0].error_type == "TimeoutError"
+            assert results[0].message == "socket timed out 1"
+            assert not results[0].timed_out
+            assert results[1] == 4
+            assert session.last_batch.timed_out == 0
+
+    def test_abandoned_pool_workers_do_not_outlive_the_batch(self):
+        # A timed-out job's worker keeps running after shutdown(); unless
+        # the abandoned pool's workers are terminated, the interpreter
+        # waits for the 30 s sleep at exit (and each retry's rebuilt pool
+        # stacks more workers).
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join((src, root))
+        script = (
+            "from repro.sim.session import SimSession, is_failure\n"
+            "from tests.sim.test_failures import OkJob, SleepJob\n"
+            "results = SimSession(disk_cache=False).run_many(\n"
+            "    [SleepJob(1, 30.0), OkJob(2)], max_workers=2,\n"
+            "    policy='keep_going', max_retries=1, job_timeout=0.3)\n"
+            "assert is_failure(results[0]) and results[0].timed_out\n"
+            "assert results[0].attempts == 2 and results[1] == 4\n")
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - t0 < 10.0
 
     def test_serial_execution_ignores_the_timeout(self):
         session = SimSession(disk_cache=False)

@@ -9,6 +9,7 @@ traces.
 
 import dataclasses
 import json
+import os
 import re
 
 import pytest
@@ -18,8 +19,8 @@ from repro.obs.export import validate_chrome_trace
 from repro.obs.metrics import merge_snapshots
 from repro.params import SimScale
 from repro.sim.registry import setup_by_name
-from repro.sim.runner import mirza_setup, simulate
-from repro.sim.session import SimJob, SimSession
+from repro.sim.runner import mirza_setup, prac_setup, simulate
+from repro.sim.session import SimJob, SimSession, job_label, job_token
 
 SCALE = SimScale(2048)  # ~16 us windows: smoke-test speed
 
@@ -27,6 +28,22 @@ SCALE = SimScale(2048)  # ~16 us windows: smoke-test speed
 def _jobs():
     setup = setup_by_name("mirza", SCALE)
     return [SimJob(w, setup, SCALE, seed=0) for w in ("tc", "lbm")]
+
+
+@dataclasses.dataclass(frozen=True)
+class FlakyAfterKernel:
+    """Runs the ``tc`` job's kernel, then fails its first attempt: a
+    retried job whose failed attempt did real, observed work.  A
+    module-level dataclass, so pool workers unpickle it by reference."""
+
+    marker: str
+
+    def execute(self):
+        result = _jobs()[0].execute()
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            raise OSError("transient, after the kernel ran")
+        return result
 
 
 class TestSimulateAttachesObservability:
@@ -112,6 +129,50 @@ class TestSessionAggregation:
                 job.execute()
             alone.append(single.metrics.snapshot())
         assert merge_snapshots(alone) == ob.metrics.snapshot()
+
+    def test_failed_attempt_is_dropped_on_both_paths(self, tmp_path):
+        # The failed attempt ran the whole tc kernel before raising; its
+        # observation must be dropped in-process exactly as it is when
+        # a worker raises, so both paths count only the retry.
+        def snapshot(workers, first):
+            with observing(metrics=True) as ob:
+                SimSession(disk_cache=False).run_many(
+                    [first, _jobs()[1]], max_workers=workers,
+                    max_retries=1)
+            return ob.metrics.snapshot()
+
+        serial = snapshot(1, FlakyAfterKernel(str(tmp_path / "serial")))
+        pooled = snapshot(2, FlakyAfterKernel(str(tmp_path / "pooled")))
+        clean = snapshot(1, _jobs()[0])
+        assert serial == pooled
+        assert serial["session.jobs_retried"]["value"] == 1
+        assert {key: value for key, value in serial.items()
+                if not key.startswith("session.")} == clean
+
+    def test_pooled_batch_runs_an_untokened_job_in_process(self):
+        tc, lbm = _jobs()
+        factory = prac_setup(1000).tracker_factory
+        opaque = SimJob("tc", dataclasses.replace(
+            prac_setup(1000),
+            tracker_factory=lambda seed, subch, bank: factory(
+                seed, subch, bank)), SCALE)
+        assert job_token(opaque) is None
+        session = SimSession(disk_cache=False, max_workers=2)
+        with observing(trace=True) as ob:
+            results = session.run_many([tc, opaque, lbm])
+        expected = SimSession(disk_cache=False).run_many(
+            [tc, SimJob("tc", prac_setup(1000), SCALE), lbm])
+        assert results == expected
+        assert results[0] != results[1]
+        # Never cached: only the two tokened results are memoised, and
+        # a rerun computes the untokened job again.
+        assert len(session._memory) == 2
+        session.run_many([opaque])
+        assert session.last_batch.computed == 1
+        assert session.last_batch.cache_hits == 0
+        cells = [span[4]["disposition"] for span in ob.spans.as_list()
+                 if span[1] == f"cell:{job_label(opaque)}"]
+        assert cells == ["computed"]
 
     def test_pool_profiles_merge_into_parent(self):
         from repro.obs import KernelProfile
