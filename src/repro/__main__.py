@@ -77,6 +77,19 @@ _ENV_FLAGS = [
 ]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for the scale divisors: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (three subcommands, shared flags)."""
     parser = argparse.ArgumentParser(
@@ -91,11 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="worker processes for simulation sweeps "
                  "(default: REPRO_JOBS or 1)")
         p.add_argument(
-            "--time-scale", type=int, default=None, metavar="S",
+            "--time-scale", type=_positive_int, default=None,
+            metavar="S",
             help="window divisor for timed simulation "
                  "(default: REPRO_TIME_SCALE or 512)")
         p.add_argument(
-            "--cgf-scale", type=int, default=None, metavar="S",
+            "--cgf-scale", type=_positive_int, default=None,
+            metavar="S",
             help="window divisor for counting measurements "
                  "(default: REPRO_CGF_SCALE or 16)")
         p.add_argument(
@@ -324,12 +339,12 @@ def _run_simulations(args: argparse.Namespace,
     carries a ``# workload:`` claim, the measured-vs-Table-IV
     calibration rows are printed after the summary line.
     """
-    from repro.params import SimScale
+    from repro.experiments.common import default_scale, default_seed
     from repro.sim.registry import setup_by_name
     from repro.sim.session import SimJob, TraceReplayJob, is_failure
 
-    scale = SimScale(int(os.environ.get("REPRO_TIME_SCALE") or 512))
-    seed = int(os.environ.get("REPRO_SEED") or 0)
+    scale = default_scale()
+    seed = default_seed()
     try:
         setup = setup_by_name(args.setup, scale)
     except KeyError as error:
@@ -477,13 +492,12 @@ def _run_fuzz(args: argparse.Namespace, session: SimSession) -> int:
     bit-identical ranking, with every cell served from the cache.
     Batch statistics go to stderr so they never perturb that contract.
     """
+    from repro.experiments.common import default_scale, default_seed
     from repro.security.fuzz import FuzzSpec, default_acts, run_fuzz
 
-    time_scale = int(os.environ.get("REPRO_TIME_SCALE") or 512)
-    seed = int(os.environ.get("REPRO_SEED") or 0)
-    kwargs = dict(seed=seed,
+    kwargs = dict(seed=default_seed(),
                   acts=(args.acts if args.acts is not None
-                        else default_acts(time_scale)))
+                        else default_acts(default_scale().time_scale)))
     if args.mitigations:
         kwargs["mitigations"] = tuple(
             name for name in args.mitigations.split(",") if name)

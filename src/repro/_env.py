@@ -49,6 +49,26 @@ def env_int(var: str, default: int, minimum: Optional[int] = None,
     return value
 
 
+def env_positive_int(var: str, default: int) -> int:
+    """A positive ``int(os.environ[var])``, warn-and-default otherwise.
+
+    For divisors such as ``REPRO_TIME_SCALE``: a malformed value *and*
+    a value below 1 (which would divide by zero or run a nonsense
+    scale) both warn once and fall back to ``default``.
+    """
+    raw = os.environ.get(var)
+    if raw is None or raw == "":
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        _warn_once(var, raw, default)
+        return default
+    return value
+
+
 def env_choice(var: str, default: str, choices: Tuple[str, ...]) -> str:
     """``os.environ[var]`` restricted to ``choices``, warn-and-default.
 

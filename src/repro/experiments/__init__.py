@@ -1,22 +1,36 @@
 """One module per table/figure of the paper's evaluation.
 
-Every module is a declarative :class:`~repro.experiments.framework.
-Experiment` registration plus a thin ``run(...)`` compatibility wrapper
-returning the structured results and a ``main()`` that prints the
-paper-style table with the published numbers alongside the reproduced
-ones.  The benchmark harness under ``benchmarks/`` calls the ``run``
-functions; the report generator plans every registered declaration as
-one deduplicated session batch; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+Every module declares its exhibit as one :class:`~repro.experiments.
+framework.Experiment` registration (``module.EXPERIMENT``) beside its
+Result type and the paper's numbers.  There is one way to run an
+exhibit::
 
-Experiment scope knobs (environment variables, also accepted as
-arguments):
+    framework.run_experiment(module.EXPERIMENT, Context.make(...),
+                             session=...)
+
+which returns the structured Result; ``python -m repro run <name>``
+(:func:`repro.report.run_exhibit`) prints it as the paper-style table
+with the published numbers alongside the reproduced ones.  The report
+generator plans every registered declaration as one deduplicated
+session batch; the exhibit assertions under ``exhibits/`` call
+``run_experiment``; EXPERIMENTS.md records the paper-vs-measured
+comparison.
+
+Experiment scope knobs (environment variables, overridden by the
+matching :class:`~repro.experiments.framework.Context` fields and CLI
+flags):
 
 - ``REPRO_TIME_SCALE``: the :class:`repro.params.SimScale` divisor
   (default 512 for quick runs; 1 reproduces the paper's full 32 ms
   windows).
+- ``REPRO_CGF_SCALE``: the divisor for activation-counting cells
+  (default 16).
 - ``REPRO_WORKLOADS``: comma-separated workload names or ``all``
   (default: a 6-workload representative subset).
+- ``REPRO_SEED``: the base RNG seed (default 0).
+
+A malformed or non-positive scale, or a malformed seed, warns once and
+falls back to its default (:mod:`repro._env`).
 """
 
 from repro.experiments import (  # noqa: F401

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._env import env_int, env_positive_int
 from repro.core.rct import RegionCountTable
 from repro.dram.mapping import (
     RowToSubarrayMapping,
@@ -42,7 +43,7 @@ ones, spanning the full range of ACT intensity and spread."""
 
 def default_scale() -> SimScale:
     """Simulation window divisor (REPRO_TIME_SCALE, default 512)."""
-    return SimScale(int(os.environ.get("REPRO_TIME_SCALE", "512")))
+    return SimScale(env_positive_int("REPRO_TIME_SCALE", 512))
 
 
 def cgf_scale() -> SimScale:
@@ -54,12 +55,12 @@ def cgf_scale() -> SimScale:
     (REPRO_CGF_SCALE, default 16: per-region counts of ~50-100 against
     an FTH of ~94 at TRHD=1K).
     """
-    return SimScale(int(os.environ.get("REPRO_CGF_SCALE", "16")))
+    return SimScale(env_positive_int("REPRO_CGF_SCALE", 16))
 
 
 def default_seed() -> int:
     """Base RNG seed for simulation sweeps (REPRO_SEED, default 0)."""
-    return int(os.environ.get("REPRO_SEED", "0"))
+    return env_int("REPRO_SEED", 0)
 
 
 def selected_workloads(names: Optional[Iterable[str]] = None

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import MirzaConfig
 from repro.core.mirza import MirzaTracker
@@ -23,7 +23,6 @@ from repro.energy import (
     mitigation_energy_per_act,
 )
 from repro.experiments import framework
-from repro.experiments.framework import Context
 from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
@@ -34,7 +33,6 @@ from repro.params import DramGeometry
 from repro.security.lifetime import lifetime_report
 from repro.security.mint_model import MINT_FAILURE_EXPONENT
 from repro.sim.runner import MINT_RFM_WINDOWS
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 
@@ -148,20 +146,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
     reduce=_reduce,
     render=_render,
 ))
-
-
-def run(session: Optional[SimSession] = None) -> Dict[str, str]:
-    """Execute the experiment; returns the three rendered tables."""
-    return framework.run_experiment(EXPERIMENT, Context.make(),
-                                    session=session)
-
-
-def main() -> str:
-    """Print the extension tables; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -9,13 +9,12 @@ almost none (its slowdown is purely the inflated timings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Check, Context, TableSpec
-from repro.params import SimScale
 from repro.sim.runner import mirza_setup, prac_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob
 from repro.sim.stats import mean
 
 PAPER = {
@@ -120,24 +119,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               rel_tol=1.0, abs_tol=2.0),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        thresholds: Sequence[int] = _THRESHOLDS,
-        session: Optional[SimSession] = None) -> Fig11Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale,
-                       thresholds=tuple(thresholds))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -571,8 +571,9 @@ def run_experiment(experiment: Union[str, Experiment],
                    session: Optional[SimSession] = None) -> Any:
     """Plan and execute one experiment; returns its Result.
 
-    This is what the legacy per-module ``run()`` wrappers call: one
+    This is the one programmatic entry point to an exhibit: one
     declaration, its dependencies batched alongside, one fan-out.
+    :func:`repro.report.run_exhibit` prints the same Result rendered.
     """
     if not isinstance(experiment, Experiment):
         experiment = experiment_by_name(experiment)

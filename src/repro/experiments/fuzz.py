@@ -16,11 +16,10 @@ at smoke scales).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Context
-from repro.params import SimScale
 from repro.security.fuzz import (
     FuzzReport,
     FuzzSpec,
@@ -28,7 +27,6 @@ from repro.security.fuzz import (
     fuzz_jobs,
     run_fuzz,
 )
-from repro.sim.session import SimSession
 
 MITIGATIONS = ("trr", "prac-1000", "mirza-1000")
 """Default mitigation axis: the broken DDR4 reference next to the
@@ -105,24 +103,4 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
 ))
 
 
-def run(scale: Optional[SimScale] = None,
-        session: Optional[SimSession] = None,
-        **options) -> FuzzReport:
-    """Execute the sweep; returns the reduced report."""
-    ctx = Context.make(scale=scale, **options)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the sweep table; returns the rendered text."""
-    report = run()
-    table = framework.render_experiment(EXPERIMENT, report)
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()
-
-
-__all__ = ["EXPERIMENT", "run", "main", "run_fuzz"]
+__all__ = ["EXPERIMENT", "run_fuzz"]

@@ -12,7 +12,7 @@ row is reported analytically alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Check, Context
@@ -24,7 +24,7 @@ from repro.security.analysis import (
     refresh_cannibalization,
 )
 from repro.security.attacks import SingleBankHarness
-from repro.sim.session import SimSession, register_job_type
+from repro.sim.session import register_job_type
 from repro.sim.stats import format_table
 from repro.workloads.attacks import feinting_attack_stream
 
@@ -139,23 +139,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _row_of(4, "mint_trhd"), rel_tol=0.25),
     ),
 ))
-
-
-def run(mithril_entries: int = 128,
-        feinting_acts: int = 150_000,
-        session: Optional[SimSession] = None) -> List[Table2Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(mithril_entries=mithril_entries,
-                       feinting_acts=feinting_acts)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

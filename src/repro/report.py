@@ -15,7 +15,7 @@ exactly once.  Each exhibit's section carries the declared
 paper-reference checks with deviation flags, and the report ends with
 the plan's dedup and wall-time footer.
 
-The heavy exhibits honour the same environment knobs as the benchmarks
+The heavy exhibits honour the experiment scope knobs
 (``REPRO_TIME_SCALE``, ``REPRO_CGF_SCALE``, ``REPRO_WORKLOADS``), and
 all simulation work is submitted through a
 :class:`~repro.sim.session.SimSession` -- pass one to
@@ -149,7 +149,7 @@ def generate_markdown(only: Optional[List[str]] = None,
     Every selected exhibit (plus its declared dependencies) is planned
     into one deduplicated session batch, so shared cells simulate once
     and ``SimSession(max_workers=N)`` parallelises the whole report.
-    The rendered tables are byte-identical to the per-module ``main()``
+    The rendered tables are byte-identical to :func:`run_exhibit`'s
     output either way.
 
     The report runs under

@@ -3,9 +3,9 @@
 from repro.experiments.extras import (
     energy_table,
     lifetime_table,
-    main,
     storage_comparison,
 )
+from repro.report import run_exhibit
 
 
 class TestExtras:
@@ -30,6 +30,6 @@ class TestExtras:
         capsys.readouterr()
 
     def test_main_concatenates(self, capsys):
-        out = main()
+        out = run_exhibit("extras")
         assert out.count("Tracker storage") == 1
         capsys.readouterr()

@@ -52,6 +52,30 @@ class TestContext:
         assert Context.make(scale=SimScale(64)).timed_scale() \
             == SimScale(64)
 
+    @pytest.mark.parametrize("raw", ["", "abc", "0", "-4"])
+    def test_bad_scale_knobs_fall_back_to_defaults(self, monkeypatch,
+                                                   raw):
+        import warnings
+
+        import repro._env as _env
+        _env._WARNED.clear()
+        monkeypatch.setenv("REPRO_TIME_SCALE", raw)
+        monkeypatch.setenv("REPRO_CGF_SCALE", raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert Context.make().timed_scale() == SimScale(512)
+            assert Context.make().counting_scale() == SimScale(16)
+        # An empty value is "unset"; anything else is worth a warning.
+        assert len(caught) == (0 if raw == "" else 2)
+
+    @pytest.mark.parametrize("raw", ["", "x"])
+    def test_bad_seed_knob_falls_back_to_zero(self, monkeypatch, raw):
+        import warnings
+        monkeypatch.setenv("REPRO_SEED", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert Context.make().run_seed() == 0
+
 
 class TestRegistry:
     def test_title_is_a_lookup_alias(self):

@@ -138,6 +138,11 @@ class TestSimScale:
     def test_threshold_never_zero(self):
         assert SimScale(10 ** 6).scale_threshold(10) == 1
 
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_non_positive_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            SimScale(bad)
+
 
 class TestWorstCaseBounds:
     def test_max_acts_per_bank_near_621k(self):

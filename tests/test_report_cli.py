@@ -86,6 +86,27 @@ class TestCliFlags:
         assert cli_main(["run", "tableZZ"]) == 2
         assert "unknown exhibit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--time-scale", "--cgf-scale"])
+    @pytest.mark.parametrize("value", ["0", "-4", "abc"])
+    def test_non_positive_scale_flag_is_a_usage_error(self, capsys,
+                                                      flag, value):
+        assert cli_main(["run", "table7", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_malformed_scale_env_warns_instead_of_crashing(
+            self, monkeypatch, capsys):
+        # The bad knob is parsed before the setup lookup; an unknown
+        # setup then ends the run cheaply with its own usage error.
+        import repro._env as _env
+        _env._WARNED.clear()
+        monkeypatch.setenv("REPRO_TIME_SCALE", "abc")
+        monkeypatch.setenv("REPRO_SEED", "x")
+        with pytest.warns(UserWarning) as record:
+            assert cli_main(["run", "tc", "--setup", "no-such"]) == 2
+        warned = " ".join(str(w.message) for w in record)
+        assert "REPRO_TIME_SCALE" in warned and "REPRO_SEED" in warned
+        assert "no-such" in capsys.readouterr().err
+
     def test_flags_beat_environment(self, monkeypatch):
         from repro.__main__ import _build_parser, _environment
         import os
